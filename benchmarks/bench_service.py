@@ -164,29 +164,27 @@ def test_shared_scan_reads_fewer_elements(context, default_workload):
 
 def test_deadline_degrades_instead_of_blocking(context, default_workload):
     searcher = context.searcher
-    service = SimilarityService(
-        searcher, config=ServiceConfig(algorithm="nra")
-    )
-    backend = service._backend
-    original = backend.execute
-
-    def slow_primary(tokens, prepared, tau, algorithm):
-        if algorithm == "nra":
-            time.sleep(0.5)
-        return original(tokens, prepared, tau, algorithm)
-
-    backend.execute = slow_primary
     tokens = _tokens_of(context, default_workload)[0]
-    with service:
+    started = time.perf_counter()
+    searcher.search(tokens, TAU, algorithm="nra")
+    primary_s = time.perf_counter() - started
+
+    # A deadline the NRA primary has passed by its first page read: the
+    # ledger stops it inside the algorithm and the SF fallback answers.
+    with SimilarityService(
+        searcher, config=ServiceConfig(algorithm="nra")
+    ) as service:
         started = time.perf_counter()
-        result = service.search(tokens, TAU, deadline=0.05)
+        result = service.search(tokens, TAU, deadline=1e-9)
         elapsed = time.perf_counter() - started
+        assert service.stats()["deadline_misses"] == 1
     assert result.degraded and result.ok
     assert result.degraded_tau > TAU
-    assert elapsed < 0.5  # answered before the primary would have
+    assert elapsed < 0.5  # a degraded answer, not a blown budget
 
     if BENCH_JSON.exists():
         record = json.loads(BENCH_JSON.read_text())
         record["deadline_response_seconds"] = round(elapsed, 4)
+        record["deadline_primary_seconds"] = round(primary_s, 4)
         record["deadline_degraded_tau"] = result.degraded_tau
         BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")

@@ -4,7 +4,7 @@
 Builds a small string collection, runs threshold and top-k queries through
 the high-level API, shows the seven algorithms agreeing on the answers
 while doing very different amounts of work, and serves a batch of queries
-through the concurrent service layer (caching + coalescing + HTTP).
+through the service layer (caching + coalescing + HTTP).
 
 Run:  python examples/quickstart.py
 """

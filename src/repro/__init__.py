@@ -50,6 +50,7 @@ from .core.weights import IdfStatistics
 from .core.errors import (
     CircuitOpenError,
     CorruptIndexError,
+    DeadlineExceeded,
     ServiceOverloadError,
 )
 from .faults import (
@@ -107,6 +108,7 @@ __all__ = [
     "SimilarityService",
     "CircuitOpenError",
     "CorruptIndexError",
+    "DeadlineExceeded",
     "ServiceOverloadError",
     "TornWriteError",
     "TransientIOError",

@@ -236,6 +236,7 @@ class SelectionAlgorithm:
         query: PreparedQuery,
         tau: float,
         length_floor: float = 0.0,
+        deadline: Optional[float] = None,
     ) -> AlgorithmResult:
         """Run the selection and time it.
 
@@ -248,15 +249,19 @@ class SelectionAlgorithm:
         the Theorem 1 window.  The self-join uses it to visit only
         partners at least as long as the probe, halving its reads; plain
         selections leave it at 0.
+
+        ``deadline`` is an optional ``time.perf_counter()`` instant handed
+        to the query's ledger: the first page charge after it raises
+        :class:`~repro.core.errors.DeadlineExceeded`.
         """
         tau = effective_threshold(tau)
         self._length_floor = max(0.0, length_floor)
         if self.buffer_pool_pages:
             from ..storage.buffer import BufferedIOStats
 
-            stats: IOStats = BufferedIOStats(self.buffer_pool_pages)
+            stats: IOStats = BufferedIOStats(self.buffer_pool_pages, deadline)
         else:
-            stats = IOStats()
+            stats = IOStats(deadline)
         started = time.perf_counter()
         with obs_trace.span("query", algo=self.name, tau=tau) as query_span:
             lists = QueryLists(

@@ -122,17 +122,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[*algorithm_names(), "auto"],
     )
     p_batch.add_argument(
-        "--strategy", default="threads",
-        choices=["threads", "shared", "auto"],
-        help="per-query thread pool, shared term-at-a-time scan, or "
+        "--strategy", default="sequential",
+        choices=["sequential", "shared", "auto"],
+        help="one query after another, shared term-at-a-time scan, or "
         "overlap-driven choice",
     )
     p_batch.add_argument(
-        "--workers", type=int, default=None, help="thread-pool width"
-    )
-    p_batch.add_argument(
         "--deadline-ms", type=float, default=None,
-        help="per-query deadline; timeouts degrade to tightened SF",
+        help="per-query deadline; a query still running then stops "
+        "and degrades to tightened SF",
     )
     p_batch.add_argument(
         "--json", action="store_true",
@@ -167,11 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[*algorithm_names(), "auto"],
     )
     p_serve.add_argument(
-        "--workers", type=int, default=None, help="thread-pool width"
-    )
-    p_serve.add_argument(
         "--deadline-ms", type=float, default=None,
-        help="per-query deadline; timeouts degrade to tightened SF",
+        help="per-query deadline; a query still running then stops "
+        "and degrades to tightened SF",
     )
     p_serve.add_argument(
         "--cache-size", type=int, default=1024,
@@ -358,7 +354,6 @@ def _build_service(args, searcher, tokenizer):
 
     config = ServiceConfig(
         algorithm=args.algorithm,
-        max_workers=args.workers,
         deadline_seconds=(
             args.deadline_ms / 1000.0
             if args.deadline_ms is not None
@@ -455,10 +450,9 @@ def cmd_serve(args, out: IO[str]) -> int:
     finally:
         # Stop admitting first (new queries get 503 + Retry-After while
         # the listener winds down), let in-flight queries finish, then
-        # release the sockets and the worker pool.
+        # release the sockets.
         service.drain(timeout=10.0)
         server.shutdown()
-        service.close()
     print("bye", file=out)
     return 0
 

@@ -87,5 +87,10 @@ class CircuitOpenError(ReproError):
         self.retry_after = retry_after
 
 
+class DeadlineExceeded(ReproError):
+    """A query's I/O ledger was charged a page after its deadline, so
+    the query stopped mid-scan (the service then degrades it)."""
+
+
 class SchemaError(ReproError):
     """A relational operation referenced a column that does not exist."""

@@ -82,12 +82,14 @@ class SetSimilaritySearcher:
         tokens: Sequence[str],
         threshold: float,
         algorithm: str = DEFAULT_ALGORITHM,
+        deadline: Optional[float] = None,
         **algorithm_options: Any,
     ) -> AlgorithmResult:
         """Selection: all sets with IDF similarity >= threshold."""
         query = self.prepare(tokens)
         return self.search_prepared(
-            query, threshold, algorithm, **algorithm_options
+            query, threshold, algorithm, deadline=deadline,
+            **algorithm_options,
         )
 
     def search_prepared(
@@ -95,8 +97,12 @@ class SetSimilaritySearcher:
         query: PreparedQuery,
         threshold: float,
         algorithm: str = DEFAULT_ALGORITHM,
+        deadline: Optional[float] = None,
         **algorithm_options: Any,
     ) -> AlgorithmResult:
+        """Selection for a prepared query.  ``deadline`` is an optional
+        ``time.perf_counter()`` instant; a query still running then
+        raises :class:`~repro.core.errors.DeadlineExceeded`."""
         if algorithm == "auto":
             from .analysis import choose_algorithm
 
@@ -104,7 +110,7 @@ class SetSimilaritySearcher:
         alg = _algorithm_factory()(
             algorithm, self.index, **algorithm_options
         )
-        return alg.search(query, threshold)
+        return alg.search(query, threshold, deadline=deadline)
 
     def top_k(self, tokens: Sequence[str], k: int) -> TopKResult:
         """The k most similar sets (future-work extension, Section X)."""

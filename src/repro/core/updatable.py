@@ -134,13 +134,18 @@ class UpdatableSearcher:
     # ------------------------------------------------------------------
     def search(
         self, tokens: Sequence[str], threshold: float,
-        algorithm: str = "sf",
+        algorithm: str = "sf", deadline: Optional[float] = None,
     ) -> AlgorithmResult:
-        """Selection over base + pending sets (epoch-stats scoring)."""
-        base_result = self._base.search(tokens, threshold, algorithm)
+        """Selection over base + pending sets (epoch-stats scoring); one
+        ``deadline`` instant bounds both searches."""
+        base_result = self._base.search(
+            tokens, threshold, algorithm, deadline=deadline
+        )
         if self._delta is None:
             return base_result
-        delta_result = self._delta.search(tokens, threshold, algorithm)
+        delta_result = self._delta.search(
+            tokens, threshold, algorithm, deadline=deadline
+        )
         merged = list(base_result.results) + [
             SearchResult(r.set_id + self._base_size, r.score)
             for r in delta_result.results

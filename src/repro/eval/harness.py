@@ -259,7 +259,7 @@ class ExperimentContext:
         workload: Iterable[str],
         tau: float,
         algorithm: str = "sf",
-        strategy: str = "threads",
+        strategy: str = "sequential",
         service: Optional[SimilarityService] = None,
         **config_options: Any,
     ) -> WorkloadSummary:
@@ -270,7 +270,7 @@ class ExperimentContext:
         list, e.g. from :func:`repro.data.workloads.make_traffic`).
         Pass ``service`` to reuse one facade (and its warm caches)
         across calls; otherwise a fresh one is built from
-        ``config_options`` and closed before returning.
+        ``config_options``.
 
         The summary's per-query telemetry comes from the underlying
         :class:`AlgorithmResult` objects; cache hits replay the original
@@ -278,23 +278,18 @@ class ExperimentContext:
         ``wall_seconds_total`` reflects the actual batch wall-clock.
         """
         texts = list(workload)
-        own = service is None
-        if own:
+        if service is None:
             service = SimilarityService(
                 self.searcher,
                 ServiceConfig(algorithm=algorithm, **config_options),
                 tokenizer=self.tokenizer,
             )
-        try:
-            queries = [self.tokenizer.tokens(text) for text in texts]
-            started = time.perf_counter()
-            results = service.search_batch(
-                queries, tau, algorithm=algorithm, strategy=strategy
-            )
-            elapsed = time.perf_counter() - started
-        finally:
-            if own:
-                service.close()
+        queries = [self.tokenizer.tokens(text) for text in texts]
+        started = time.perf_counter()
+        results = service.search_batch(
+            queries, tau, algorithm=algorithm, strategy=strategy
+        )
+        elapsed = time.perf_counter() - started
         per_query = [
             r.result for r in results if r.ok and r.result is not None
         ]

@@ -197,8 +197,10 @@ class Tracer:
     def _finish(self, record: SpanRecord) -> None:
         record.end = self._clock()
         stack = self._stack()
-        if stack and stack[-1] == record.span_id:
-            stack.pop()
+        if record.span_id in stack:
+            # Also drops children an exception left open (a query its
+            # deadline stopped mid-list), so later spans nest correctly.
+            del stack[stack.index(record.span_id):]
         with self._lock:
             self.records.append(record)
 

@@ -3,9 +3,10 @@
 The ``service`` layer sits above ``algorithms`` in the package DAG and
 turns the one-query-at-a-time library into a throughput-oriented
 server: generation-checked LRU caches for prepared queries and results,
-thread-pool batch execution with rare-token locality sorting and
-request coalescing, per-query deadlines with an explicitly flagged SF
-fallback, and a stdlib JSON-over-HTTP front end (``repro serve``).
+batch execution (distinct queries in turn, or one shared scan) with
+request coalescing, per-query deadlines enforced inside the algorithm
+with an explicitly flagged SF fallback, and a stdlib JSON-over-HTTP
+front end (``repro serve``).  Every query runs in its caller's thread.
 
 See ``docs/service.md`` for the architecture and guarantees.
 """

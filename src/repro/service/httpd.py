@@ -10,6 +10,8 @@ to load-test the service layer:
   :meth:`ServiceResult.to_dict` (payloads resolved).
 * ``POST /batch`` — body ``{"queries": [<query>, ...], ...}`` where each
   query is a token list or a string; one result object per query.
+  Optional ``"strategy"``: ``"sequential"`` (default), ``"shared"`` or
+  ``"auto"``.
 * ``GET /stats`` — serving counters and cache statistics.
 * ``GET /metrics`` — Prometheus text exposition of the global metrics
   registry (empty body when telemetry is disabled).
@@ -38,7 +40,7 @@ from ..core.errors import (
     ServiceOverloadError,
 )
 from ..obs import metrics as obs_metrics
-from .service import ServiceResult, SimilarityService
+from .service import ServiceResult, SimilarityService, validate_deadline
 
 DEFAULT_THRESHOLD = 0.7
 MAX_BODY_BYTES = 4 * 1024 * 1024
@@ -211,7 +213,9 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
 
     @staticmethod
     def _deadline_of(body: Dict[str, Any]) -> Optional[float]:
-        deadline_ms = body.get("deadline_ms")
+        deadline_ms = validate_deadline(
+            body.get("deadline_ms"), "deadline_ms"
+        )
         return deadline_ms / 1000.0 if deadline_ms is not None else None
 
     def _result_dict(self, result: ServiceResult) -> Dict[str, Any]:
@@ -249,7 +253,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             float(body.get("threshold", DEFAULT_THRESHOLD)),
             algorithm=body.get("algorithm"),
             deadline=self._deadline_of(body),
-            strategy=body.get("strategy", "threads"),
+            strategy=body.get("strategy", "sequential"),
         )
         self._send_json(
             200,

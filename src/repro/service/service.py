@@ -1,4 +1,4 @@
-"""The concurrent query service: caching, batching, deadlines.
+"""The query service: caching, batching, deadlines.
 
 The paper's algorithms answer one selection at a time; a serving
 deployment amortizes work *across* queries.  :class:`SimilarityService`
@@ -9,22 +9,19 @@ wraps a :class:`~repro.core.search.SetSimilaritySearcher` (or an
   Theorem 1 window machinery) and **results** in generation-checked LRU
   caches (:mod:`repro.service.cache`) — any index mutation changes the
   backend's version token and lazily invalidates both;
-* executes **batches** on a ``ThreadPoolExecutor`` with per-query
-  ``IOStats`` isolation (every execution opens its own cursors and
-  ledger; the index structures are read-only during search), sorting the
-  batch by each query's rarest tokens so queries sharing hot lists run
-  adjacently — better buffer-pool locality — and coalescing identical
-  in-batch queries so a burst of duplicates costs one execution;
-* enforces per-query **deadlines** with graceful degradation: on
-  timeout the configured algorithm is abandoned and the query re-runs as
-  ``SF`` with a *tightened* cutoff (higher threshold → stronger λ/window
-  pruning → bounded work).  A degraded answer contains only exact,
-  correct scores but may miss borderline results between the requested
-  and tightened thresholds; it is always explicitly flagged, never
-  silent.
+* executes **batches** one distinct query after another, coalescing
+  identical in-batch queries so a burst of duplicates costs one
+  execution, or as one shared term-at-a-time scan;
+* enforces per-query **deadlines** with graceful degradation: the
+  query's I/O ledger stops it at the first page charge past its
+  deadline, and it re-runs, in the same thread, as ``SF`` with a
+  *tightened* cutoff (higher threshold → stronger λ/window pruning →
+  bounded work).  A degraded answer contains only exact, correct scores
+  but may miss borderline results between the requested and tightened
+  thresholds; it is always explicitly flagged, never silent.
 
-When no deadline fires and the per-query (``"threads"``) strategy runs,
-service answers are **bit-identical** to calling
+When no deadline fires and the per-query (``"sequential"``) strategy
+runs, service answers are **bit-identical** to calling
 ``searcher.search_prepared`` directly — the service adds no scoring path
 of its own.  The ``"shared"`` strategy delegates to
 :class:`~repro.algorithms.batch.BatchSelector` (each token list scanned
@@ -34,15 +31,18 @@ equal up to floating-point summation order.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..algorithms.base import AlgorithmResult
 from ..algorithms.batch import BatchSelector, batch_overlap_factor
-from ..core.errors import ConfigurationError, EmptyQueryError
+from ..core.errors import (
+    ConfigurationError,
+    DeadlineExceeded,
+    EmptyQueryError,
+)
 from ..core.query import PreparedQuery
 from ..core.search import SetSimilaritySearcher
 from ..core.updatable import UpdatableSearcher
@@ -62,12 +62,26 @@ from .resilience import (
 
 DEGRADED_ALGORITHM = "sf"
 
-BATCH_STRATEGIES = ("threads", "shared", "auto")
+BATCH_STRATEGIES = ("sequential", "shared", "auto")
 
 #: ``"auto"`` switches to the shared scan at this mean number of
 #: interested queries per distinct batch token (the crossover shape
 #: measured by ``benchmarks/bench_extension_batch.py``).
 SHARED_SCAN_OVERLAP = 3.0
+
+
+def validate_deadline(seconds: Any, name: str = "deadline") -> Any:
+    """``seconds`` if it is ``None`` or a finite number > 0, else
+    :class:`ConfigurationError` (a JSON ``true`` is not a number)."""
+    if seconds is None or (
+        isinstance(seconds, (int, float))
+        and not isinstance(seconds, bool)
+        and 0.0 < seconds < math.inf
+    ):
+        return seconds
+    raise ConfigurationError(
+        f"{name} must be a finite number > 0, got {seconds!r}"
+    )
 
 
 class ServiceConfig:
@@ -77,10 +91,6 @@ class ServiceConfig:
     ----------
     algorithm:
         Default selection algorithm (any registered name, or ``"auto"``).
-    max_workers:
-        Thread-pool width for batch execution (``None`` lets the
-        executor pick; CPython threads bound scheduling overhead rather
-        than adding CPUs for the simulated index, so modest widths win).
     result_cache_size / prepared_cache_size:
         LRU capacities; ``0`` disables the respective cache.
     deadline_seconds:
@@ -88,8 +98,6 @@ class ServiceConfig:
     degrade_tighten:
         How far the fallback cutoff moves from ``tau`` toward ``1.0``
         on a deadline miss: ``tau' = tau + degrade_tighten * (1 - tau)``.
-    locality_sort:
-        Sort batches by rarest-token key before dispatch.
     retry_attempts / retry_base_delay / retry_max_delay / retry_seed:
         Bounded-retry policy for transient backend I/O failures
         (:class:`~repro.service.resilience.RetryPolicy`): total tries,
@@ -105,12 +113,10 @@ class ServiceConfig:
 
     __slots__ = (
         "algorithm",
-        "max_workers",
         "result_cache_size",
         "prepared_cache_size",
         "deadline_seconds",
         "degrade_tighten",
-        "locality_sort",
         "retry_attempts",
         "retry_base_delay",
         "retry_max_delay",
@@ -123,12 +129,10 @@ class ServiceConfig:
     def __init__(
         self,
         algorithm: str = "sf",
-        max_workers: Optional[int] = None,
         result_cache_size: int = 1024,
         prepared_cache_size: int = 4096,
         deadline_seconds: Optional[float] = None,
         degrade_tighten: float = 0.5,
-        locality_sort: bool = True,
         retry_attempts: int = 3,
         retry_base_delay: float = 0.05,
         retry_max_delay: float = 1.0,
@@ -137,12 +141,9 @@ class ServiceConfig:
         breaker_reset_seconds: float = 30.0,
         max_inflight: Optional[int] = None,
     ) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ConfigurationError("max_workers must be >= 1")
         if not (0.0 < degrade_tighten <= 1.0):
             raise ConfigurationError("degrade_tighten must be in (0, 1]")
-        if deadline_seconds is not None and deadline_seconds <= 0.0:
-            raise ConfigurationError("deadline_seconds must be positive")
+        validate_deadline(deadline_seconds, "deadline_seconds")
         if retry_attempts < 1:
             raise ConfigurationError("retry_attempts must be >= 1")
         if breaker_threshold < 1:
@@ -152,12 +153,10 @@ class ServiceConfig:
         if max_inflight is not None and max_inflight < 1:
             raise ConfigurationError("max_inflight must be >= 1")
         self.algorithm = algorithm
-        self.max_workers = max_workers
         self.result_cache_size = result_cache_size
         self.prepared_cache_size = prepared_cache_size
         self.deadline_seconds = deadline_seconds
         self.degrade_tighten = degrade_tighten
-        self.locality_sort = locality_sort
         self.retry_attempts = retry_attempts
         self.retry_base_delay = retry_base_delay
         self.retry_max_delay = retry_max_delay
@@ -267,8 +266,8 @@ class _SearcherBackend:
 
     def __init__(self, searcher: SetSimilaritySearcher) -> None:
         self.searcher = searcher
-        # Force the lazy corpus statistics and lengths now, so worker
-        # threads never race to initialize them mid-batch.
+        # Force the lazy corpus statistics and lengths now, so request
+        # threads never race to initialize them.
         collection = searcher.collection
         if collection.frozen and len(collection):
             collection.stats
@@ -287,8 +286,11 @@ class _SearcherBackend:
         prepared: PreparedQuery,
         tau: float,
         algorithm: str,
+        deadline: Optional[float],
     ) -> AlgorithmResult:
-        return self.searcher.search_prepared(prepared, tau, algorithm)
+        return self.searcher.search_prepared(
+            prepared, tau, algorithm, deadline=deadline
+        )
 
     def batch_selector(self) -> Optional[BatchSelector]:
         return BatchSelector(self.searcher.index)
@@ -307,8 +309,8 @@ class _UpdatableBackend:
         return self.updatable.version
 
     def prepare(self, tokens: Sequence[str]) -> PreparedQuery:
-        # Used for validation and locality sorting only; execution goes
-        # through the updatable's own base+delta fan-out.
+        # Used for validation only; execution goes through the
+        # updatable's own base+delta fan-out.
         return PreparedQuery(tokens, self.updatable.stats_epoch)
 
     def execute(
@@ -317,8 +319,11 @@ class _UpdatableBackend:
         prepared: PreparedQuery,
         tau: float,
         algorithm: str,
+        deadline: Optional[float],
     ) -> AlgorithmResult:
-        return self.updatable.search(list(tokens), tau, algorithm)
+        return self.updatable.search(
+            list(tokens), tau, algorithm, deadline=deadline
+        )
 
     def batch_selector(self) -> Optional[BatchSelector]:
         return None  # the delta index rules out a single shared scan
@@ -331,16 +336,15 @@ class _UpdatableBackend:
 # the facade
 # ----------------------------------------------------------------------
 class SimilarityService:
-    """Concurrent selection serving over one index backend.
+    """Selection serving over one index backend.
 
     Accepts either backend type::
 
         service = SimilarityService(searcher)            # static index
         service = SimilarityService(updatable_searcher)  # epoch updates
 
-    Close it (or use it as a context manager) to release the worker
-    pool; a service that never sees a deadline or a batch never starts
-    one.
+    Safe to call from many threads at once (the HTTP server does); each
+    query runs in its caller's thread.
     """
 
     def __init__(
@@ -372,8 +376,6 @@ class SimilarityService:
             if self.config.prepared_cache_size
             else None
         )
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_lock = threading.Lock()
         self._counter_lock = threading.Lock()
         self._retry = RetryPolicy(
             attempts=self.config.retry_attempts,
@@ -393,34 +395,20 @@ class SimilarityService:
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
+        """Nothing to release: the service owns no threads or files."""
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Graceful shutdown: stop admitting, wait for in-flight queries,
-        then release the pool.  New arrivals are shed with
+        """Graceful shutdown: stop admitting and wait for in-flight
+        queries.  New arrivals are shed with
         :class:`~repro.core.errors.ServiceOverloadError` while draining.
         Returns True when everything in flight completed in time."""
-        drained = self._admission.drain(timeout)
-        self.close()
-        return drained
+        return self._admission.drain(timeout)
 
     def __enter__(self) -> "SimilarityService":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.config.max_workers,
-                    thread_name_prefix="repro-service",
-                )
-            return self._executor
 
     # -- preparation & caching -----------------------------------------
     def prepare(self, tokens: Sequence[str]) -> PreparedQuery:
@@ -473,9 +461,12 @@ class SimilarityService:
         prepared: PreparedQuery,
         tau: float,
         algorithm: str,
+        deadline: Optional[float],
     ) -> AlgorithmResult:
         faults_runtime.maybe_fire("service.execute")
-        return self._backend.execute(tokens, prepared, tau, algorithm)
+        return self._backend.execute(
+            tokens, prepared, tau, algorithm, deadline
+        )
 
     def _execute_resilient(
         self,
@@ -483,6 +474,7 @@ class SimilarityService:
         prepared: PreparedQuery,
         tau: float,
         algorithm: str,
+        deadline: Optional[float] = None,
     ) -> AlgorithmResult:
         """One backend execution behind the breaker and retry policy.
 
@@ -490,7 +482,9 @@ class SimilarityService:
         ``service.execute`` fault point) are retried with jittered
         backoff; exhausted retries and unexpected failures feed the
         circuit breaker, which fails fast once ``breaker_threshold``
-        consecutive executions have failed.
+        consecutive executions have failed.  A missed ``deadline``
+        (a ``time.perf_counter()`` instant) is neither retried nor a
+        failure.
         """
         self._breaker.allow()
         try:
@@ -500,8 +494,14 @@ class SimilarityService:
                 prepared,
                 tau,
                 algorithm,
+                deadline,
                 policy=self._retry,
             )
+        except DeadlineExceeded:
+            # A slow backend is a healthy one; this also releases a
+            # half-open probe instead of leaving it in flight.
+            self._breaker.record_success()
+            raise
         except Exception:  # repro-check: allow-broad-except
             # Any failure flavour counts against the breaker; the
             # exception itself is re-raised untouched.
@@ -540,10 +540,7 @@ class SimilarityService:
         deadline: Optional[float] = None,
     ) -> ServiceResult:
         algorithm = algorithm or self.config.algorithm
-        deadline = (
-            deadline if deadline is not None
-            else self.config.deadline_seconds
-        )
+        deadline = validate_deadline(deadline) or self.config.deadline_seconds
         started = time.perf_counter()
         version = self._backend.version()
         key = result_cache_key(tuple(tokens), tau, algorithm)
@@ -556,26 +553,10 @@ class SimilarityService:
                 return ServiceResult(
                     hit, tau, algorithm, cached=True, wall_seconds=wall,
                 )
-        prepared = self.prepare(tokens)
-        if deadline is None:
-            out = ServiceResult(
-                self._execute_resilient(tokens, prepared, tau, algorithm),
-                tau,
-                algorithm,
-            )
-        else:
-            future = self._pool().submit(
-                self._execute_resilient, tokens, prepared, tau, algorithm
-            )
-            out = self._collect_with_deadline(
-                future, tokens, prepared, tau, algorithm, deadline
-            )
-        if (
-            self._results is not None
-            and not out.degraded
-            and out.result is not None
-        ):
-            self._results.put(key, version, out.result)
+        out = self._answer(
+            key, version, tokens, self.prepare(tokens), tau, algorithm,
+            deadline,
+        )
         out.wall_seconds = time.perf_counter() - started
         self._observe_latency(out.wall_seconds)
         self._count(queries=1, degraded=1 if out.degraded else 0)
@@ -644,38 +625,36 @@ class SimilarityService:
                 "(cache hits included).",
             ).observe(wall_seconds)
 
-    def _collect_with_deadline(
+    def _answer(
         self,
-        future: "Future[AlgorithmResult]",
+        key: Tuple,
+        version,
         tokens: Sequence[str],
         prepared: PreparedQuery,
         tau: float,
         algorithm: str,
-        deadline: float,
+        deadline: Optional[float],
     ) -> ServiceResult:
-        """Await the primary attempt; degrade gracefully on timeout.
-
-        CPython threads cannot be cancelled, so a timed-out primary
-        keeps running in its worker; its result is adopted anyway if it
-        finished by the time the fallback completes (late but complete
-        beats degraded).  The fallback runs *in the collecting thread* —
-        never submitted to the pool, so a saturated pool cannot starve
-        the degraded path.
-        """
+        """Run one query, caching an exact answer.  The deadline clock
+        starts here; a miss stops the primary inside its algorithm and
+        the tightened-threshold SF fallback runs with no deadline."""
+        expires = (
+            None if deadline is None else time.perf_counter() + deadline
+        )
         try:
-            return ServiceResult(
-                future.result(timeout=deadline), tau, algorithm
+            result = self._execute_resilient(
+                tokens, prepared, tau, algorithm, expires
             )
-        except FutureTimeout:
+        except DeadlineExceeded:
             self._count(deadline_misses=1)
+        else:
+            if self._results is not None:
+                self._results.put(key, version, result)
+            return ServiceResult(result, tau, algorithm)
         fallback_tau = self.config.degraded_tau(tau)
         fallback = self._execute_resilient(
             tokens, prepared, fallback_tau, DEGRADED_ALGORITHM
         )
-        if future.done() and future.exception() is None:
-            # The primary finished while the fallback ran: prefer the
-            # complete answer (late, but neither degraded nor wrong).
-            return ServiceResult(future.result(), tau, algorithm)
         return ServiceResult(
             fallback,
             tau,
@@ -691,14 +670,15 @@ class SimilarityService:
         tau: float,
         algorithm: Optional[str] = None,
         deadline: Optional[float] = None,
-        strategy: str = "threads",
+        strategy: str = "sequential",
     ) -> List[ServiceResult]:
         """Execute a batch of token-set queries at one threshold.
 
         Returns one :class:`ServiceResult` per input, in input order;
         queries that tokenize to nothing get ``error`` slots rather than
-        raising.  ``strategy`` is ``"threads"`` (per-query algorithm,
-        deadlines honoured, bit-identical answers), ``"shared"``
+        raising.  ``strategy`` is ``"sequential"`` (per-query algorithm,
+        one distinct query after another, each with its own deadline,
+        bit-identical answers), ``"shared"``
         (term-at-a-time :class:`BatchSelector` scan, no deadlines) or
         ``"auto"`` (shared when token overlap is high and no deadline is
         configured).
@@ -723,7 +703,7 @@ class SimilarityService:
         tau: float,
         algorithm: Optional[str] = None,
         deadline: Optional[float] = None,
-        strategy: str = "threads",
+        strategy: str = "sequential",
     ) -> List[ServiceResult]:
         if strategy not in BATCH_STRATEGIES:
             raise ConfigurationError(
@@ -731,10 +711,7 @@ class SimilarityService:
                 f"got {strategy!r}"
             )
         algorithm = algorithm or self.config.algorithm
-        deadline = (
-            deadline if deadline is not None
-            else self.config.deadline_seconds
-        )
+        deadline = validate_deadline(deadline) or self.config.deadline_seconds
         version = self._backend.version()
 
         prepared: List[Optional[PreparedQuery]] = []
@@ -756,13 +733,13 @@ class SimilarityService:
                 if deadline is None
                 and self._backend.batch_selector() is not None
                 and batch_overlap_factor(live) >= SHARED_SCAN_OVERLAP
-                else "threads"
+                else "sequential"
             )
 
         if strategy == "shared":
             self._run_shared(queries, prepared, out, tau, version)
         else:
-            self._run_threads(
+            self._run_sequential(
                 queries, prepared, out, tau, algorithm, deadline, version
             )
         self._count(
@@ -770,7 +747,7 @@ class SimilarityService:
         )
         return out  # type: ignore[return-value]  # every slot is filled
 
-    def _run_threads(
+    def _run_sequential(
         self,
         queries: Sequence[Sequence[str]],
         prepared: List[Optional[PreparedQuery]],
@@ -780,9 +757,8 @@ class SimilarityService:
         deadline: Optional[float],
         version,
     ) -> None:
-        """Per-query execution: cache, coalesce, sort, dispatch, collect."""
-        # 1. Replay cache hits; group the remaining work by result key
-        #    so identical in-batch queries execute once (coalescing).
+        """Per-query execution: replay cache hits, then run each distinct
+        query once, in order, answering its in-batch duplicates too."""
         pending: Dict[Tuple, List[int]] = {}
         for i, query in enumerate(prepared):
             if query is None:
@@ -795,54 +771,16 @@ class SimilarityService:
                     continue
             pending.setdefault(key, []).append(i)
 
-        # 2. Locality sort: queries sharing their rarest (highest-idf)
-        #    tokens run adjacently, so consecutive workers touch the
-        #    same hot lists (and the same buffer-pool pages).
-        order = list(pending.items())
-        if self.config.locality_sort:
-            order.sort(key=lambda item: prepared[item[1][0]].tokens)
-
-        # 3. Dispatch one execution per distinct key.  Workers never
-        #    submit nested pool work (the deadline fallback runs in the
-        #    collector), so the pool cannot deadlock on itself.
-        pool = self._pool()
-        futures = [
-            (
+        for key, indices in pending.items():
+            primary = self._answer(
                 key,
-                indices,
-                pool.submit(
-                    self._execute_resilient,
-                    queries[indices[0]],
-                    prepared[indices[0]],
-                    tau,
-                    algorithm,
-                ),
+                version,
+                queries[indices[0]],
+                prepared[indices[0]],
+                tau,
+                algorithm,
+                deadline,
             )
-            for key, indices in order
-        ]
-
-        # 4. Collect in dispatch order.  The per-query deadline clock
-        #    starts when the collector reaches the future — by then the
-        #    future has been runnable at least that long, so no query is
-        #    degraded for time it spent queued behind the batch.
-        for key, indices, future in futures:
-            if deadline is None:
-                primary = ServiceResult(future.result(), tau, algorithm)
-            else:
-                primary = self._collect_with_deadline(
-                    future,
-                    queries[indices[0]],
-                    prepared[indices[0]],
-                    tau,
-                    algorithm,
-                    deadline,
-                )
-            if (
-                self._results is not None
-                and not primary.degraded
-                and primary.result is not None
-            ):
-                self._results.put(key, version, primary.result)
             if primary.degraded:
                 self._count(degraded=len(indices))
             out[indices[0]] = primary

@@ -21,6 +21,7 @@ prediction.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Optional
 
 from ..core.errors import ConfigurationError
 from ..faults import runtime as faults_runtime
@@ -67,15 +68,15 @@ class BufferedIOStats(IOStats):
 
     ``buffer_hits`` counts absorbed page reads.  Element, probe, skip-jump
     and candidate-scan charges are unaffected (they model CPU work, not
-    I/O).
+    I/O).  Only the miss path checks the ledger's ``deadline``.
     """
 
     __slots__ = ("pool", "buffer_hits")
 
     COUNTER_FIELDS = IOStats.COUNTER_FIELDS + ("buffer_hits",)
 
-    def __init__(self, capacity: int) -> None:
-        super().__init__()
+    def __init__(self, capacity: int, deadline: Optional[float] = None) -> None:
+        super().__init__(deadline)
         self.pool = LRUBufferPool(capacity)
         self.buffer_hits = 0
 

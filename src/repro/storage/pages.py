@@ -18,9 +18,10 @@ sizes) can be regenerated from the structures themselves.
 
 from __future__ import annotations
 
+import time
 from typing import Any, Iterator, List, Optional, Sequence
 
-from ..core.errors import StorageError
+from ..core.errors import DeadlineExceeded, StorageError
 from ..faults import runtime as faults_runtime
 
 DEFAULT_PAGE_CAPACITY = 128
@@ -34,9 +35,16 @@ class IOStats:
     (the paper's unit for pruning power); the page counters model disk
     behaviour; ``hash_probes`` and ``skip_jumps`` expose the auxiliary-index
     traffic that separates TA-style from NRA-style methods.
+
+    ``deadline`` is an optional ``time.perf_counter()`` instant; the first
+    page charge after it raises :class:`~repro.core.errors.DeadlineExceeded`.
     """
 
-    __slots__ = (
+    #: The counters that :meth:`snapshot`/:meth:`add` cover.  Subclasses
+    #: that add counters must extend this tuple — iterating
+    #: ``self.__slots__`` would see only the subclass's own slots and
+    #: silently drop (or double) the base counters.
+    COUNTER_FIELDS = (
         "sequential_pages",
         "random_pages",
         "elements_read",
@@ -45,13 +53,10 @@ class IOStats:
         "candidate_scans",
     )
 
-    #: The counters that :meth:`snapshot`/:meth:`add` cover.  Subclasses
-    #: that add counters must extend this tuple — iterating
-    #: ``self.__slots__`` would see only the subclass's own slots and
-    #: silently drop (or double) the base counters.
-    COUNTER_FIELDS = __slots__
+    __slots__ = COUNTER_FIELDS + ("deadline",)
 
-    def __init__(self) -> None:
+    def __init__(self, deadline: Optional[float] = None) -> None:
+        self.deadline = deadline
         self.reset()
 
     def reset(self) -> None:
@@ -67,9 +72,13 @@ class IOStats:
         """Charge sequential page reads.  ``key`` identifies the physical
         page (``(file identity, page number)``); the base ledger ignores it,
         buffer-pool-aware subclasses use it to turn repeat reads into hits."""
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            raise DeadlineExceeded("query deadline passed")
         self.sequential_pages += pages
 
     def charge_random_page(self, pages: int = 1, key=None) -> None:
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            raise DeadlineExceeded("query deadline passed")
         self.random_pages += pages
 
     def charge_element(self, elements: int = 1) -> None:

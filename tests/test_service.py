@@ -3,16 +3,17 @@
 The contract under test, per ``docs/service.md``:
 
 * service answers are bit-identical to direct searcher calls when no
-  deadline fires (including cached replays and thread batches);
+  deadline fires (including cached replays and batches);
 * caches invalidate on any index mutation, with no explicit flush;
-* a deadline miss degrades to SF at a tightened threshold and the
-  result is *flagged*, never silent, and never cached;
+* a deadline miss stops the query inside its algorithm and degrades to
+  SF at a tightened threshold; the result is *flagged*, never silent,
+  and never cached;
 * the HTTP endpoint round-trips all of the above as JSON.
 """
 
 import json
+import math
 import threading
-import time
 import urllib.error
 import urllib.request
 
@@ -29,8 +30,9 @@ from repro import (
 from repro.core.errors import ConfigurationError, EmptyQueryError
 from repro.data.synthetic import generate_word_database
 from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 from repro.service import (
-    DEGRADED_ALGORITHM,
+    CircuitBreaker,
     GenerationLRUCache,
     ServiceHTTPServer,
     result_cache_key,
@@ -43,6 +45,9 @@ TOKEN_SETS = [
     ["set", "similarity", "query", "processing"],
     ["data", "quality", "matters"],
 ]
+
+#: A deadline every query has passed by its first page charge.
+EXPIRED = 1e-9
 
 
 @pytest.fixture()
@@ -93,8 +98,6 @@ class TestGenerationLRUCache:
 
 class TestServiceConfig:
     def test_rejects_bad_values(self):
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(max_workers=0)
         with pytest.raises(ConfigurationError):
             ServiceConfig(degrade_tighten=0.0)
         with pytest.raises(ConfigurationError):
@@ -236,15 +239,6 @@ class TestBatch:
         with pytest.raises(ConfigurationError):
             service.search_batch(self.BATCH, 0.3, strategy="bogus")
 
-    def test_locality_sort_does_not_change_answers(self, searcher):
-        config = ServiceConfig(locality_sort=False)
-        with SimilarityService(searcher, config=config) as unsorted:
-            with SimilarityService(searcher) as sorted_svc:
-                a = unsorted.search_batch(self.BATCH, 0.3)
-                b = sorted_svc.search_batch(self.BATCH, 0.3)
-        for x, y in zip(a, b):
-            assert ids_and_scores(x.results) == ids_and_scores(y.results)
-
 
 class TestBatchRandomized:
     def test_large_batch_matches_sequential(self):
@@ -253,10 +247,8 @@ class TestBatchRandomized:
         )
         searcher = SetSimilaritySearcher(collection)
         queries = [list(rec.tokens) for rec in collection][:60]
-        with SimilarityService(
-            searcher, config=ServiceConfig(max_workers=4)
-        ) as service:
-            for strategy in ("threads", "shared", "auto"):
+        with SimilarityService(searcher) as service:
+            for strategy in ("sequential", "shared", "auto"):
                 batch = service.search_batch(
                     queries, 0.7, strategy=strategy
                 )
@@ -268,28 +260,16 @@ class TestBatchRandomized:
 
 class TestDeadline:
     @staticmethod
-    def _slow_service(searcher, primary_sleep, fallback_sleep=0.0):
-        """A service whose primary algorithm is artificially slow."""
-        service = SimilarityService(
-            searcher, config=ServiceConfig(algorithm="nra")
+    def _nra_service(backend, **config):
+        return SimilarityService(
+            backend, config=ServiceConfig(algorithm="nra", **config)
         )
-        backend = service._backend
-        original = backend.execute
-
-        def slow_execute(tokens, prepared, tau, algorithm):
-            time.sleep(
-                fallback_sleep
-                if algorithm == DEGRADED_ALGORITHM
-                else primary_sleep
-            )
-            return original(tokens, prepared, tau, algorithm)
-
-        backend.execute = slow_execute
-        return service
 
     def test_deadline_miss_degrades_and_flags(self, searcher):
-        with self._slow_service(searcher, primary_sleep=1.5) as service:
-            result = service.search(["data", "cleaning"], 0.4, deadline=0.05)
+        with self._nra_service(searcher) as service:
+            result = service.search(
+                ["data", "cleaning"], 0.4, deadline=EXPIRED
+            )
         assert result.degraded
         assert result.degraded_tau == pytest.approx(
             service.config.degraded_tau(0.4)
@@ -300,9 +280,9 @@ class TestDeadline:
         assert stats["deadline_misses"] == 1
 
     def test_degraded_answers_are_subset_at_tightened_tau(self, searcher):
-        with self._slow_service(searcher, primary_sleep=1.5) as service:
+        with self._nra_service(searcher) as service:
             degraded = service.search(
-                ["data", "cleaning"], 0.4, deadline=0.05
+                ["data", "cleaning"], 0.4, deadline=EXPIRED
             )
         exact = searcher.search(["data", "cleaning"], 0.4, algorithm="sf")
         exact_ids = {r.set_id for r in exact.results}
@@ -311,30 +291,111 @@ class TestDeadline:
             assert r.score >= degraded.degraded_tau - 1e-9
 
     def test_degraded_result_never_cached(self, searcher):
-        with self._slow_service(searcher, primary_sleep=1.5) as service:
-            service.search(["data", "cleaning"], 0.4, deadline=0.05)
-            # Without a deadline the slow primary runs to completion;
-            # the answer must be freshly computed, not a degraded replay.
+        with self._nra_service(searcher) as service:
+            service.search(["data", "cleaning"], 0.4, deadline=EXPIRED)
+            # Without a deadline the primary runs to completion; the
+            # answer must be freshly computed, not a degraded replay.
             follow_up = service.search(["data", "cleaning"], 0.4)
         assert not follow_up.cached
         assert not follow_up.degraded
 
-    def test_late_primary_adopted_over_fallback(self, searcher):
-        # Primary outlives the deadline but finishes while the (very
-        # slow) fallback runs: the exact answer must win, unflagged.
-        with self._slow_service(
-            searcher, primary_sleep=0.1, fallback_sleep=1.0
-        ) as service:
-            result = service.search(["data", "cleaning"], 0.4, deadline=0.02)
-        assert not result.degraded
-        direct = searcher.search(["data", "cleaning"], 0.4, algorithm="nra")
-        assert ids_and_scores(result.results) == \
-            ids_and_scores(direct.results)
+    def test_no_thread_outlives_a_degraded_answer(self, searcher):
+        before = set(threading.enumerate())
+        with self._nra_service(searcher) as service:
+            result = service.search(
+                ["data", "cleaning"], 0.4, deadline=EXPIRED
+            )
+            assert result.degraded
+            assert set(threading.enumerate()) <= before
 
-    def test_no_deadline_runs_inline(self, searcher):
-        with SimilarityService(searcher) as service:
-            service.search(["data", "cleaning"], 0.4)
-            assert service._executor is None  # no pool was ever started
+    def test_misses_leave_the_breaker_closed(self, searcher):
+        with self._nra_service(searcher, breaker_threshold=2) as service:
+            for _ in range(3):
+                assert service.search(
+                    ["data", "cleaning"], 0.4, deadline=EXPIRED
+                ).degraded
+            stats = service.stats()
+        assert stats["deadline_misses"] == 3
+        assert stats["breaker_state"] == "closed"
+
+    def test_miss_during_half_open_probe_still_degrades(self, searcher):
+        now = [0.0]
+        with self._nra_service(searcher) as service:
+            service._breaker = CircuitBreaker(
+                threshold=1, reset_seconds=1.0, clock=lambda: now[0]
+            )
+            service._breaker.record_failure()  # open
+            now[0] = 2.0  # cooled down: the next call is the probe
+            result = service.search(
+                ["data", "cleaning"], 0.4, deadline=EXPIRED
+            )
+            assert result.degraded
+            assert service.stats()["breaker_state"] == "closed"
+
+    def test_stopped_query_leaves_no_span_open(self, searcher):
+        with obs_trace.capture() as tracer:
+            with SimilarityService(searcher) as service:  # SF primary
+                assert service.search(
+                    ["data", "cleaning"], 0.4, deadline=EXPIRED
+                ).degraded
+            with obs_trace.span("after"):
+                pass
+        (after,) = [r for r in tracer.records if r.name == "after"]
+        assert after.parent_id == 0
+
+    def test_updatable_backend_degrades(self):
+        updatable = UpdatableSearcher(TOKEN_SETS)
+        updatable.add(["data", "cleaning", "fresh"])  # a live delta index
+        with self._nra_service(updatable) as service:
+            result = service.search(
+                ["data", "cleaning"], 0.4, deadline=EXPIRED
+            )
+            exact = updatable.search(["data", "cleaning"], 0.4)
+        assert result.degraded
+        assert service.stats()["deadline_misses"] == 1
+        exact_ids = {r.set_id for r in exact.results}
+        for r in result.results:
+            assert r.set_id in exact_ids
+            assert r.score >= result.degraded_tau - 1e-9
+
+    def test_unmissed_deadline_is_bit_identical(self, searcher):
+        tokens = ["data", "cleaning"]
+        direct = searcher.search_prepared(
+            searcher.prepare(tokens), 0.4, "nra"
+        )
+        with self._nra_service(searcher) as service:
+            served = service.search(tokens, 0.4, deadline=60.0)
+            assert service.stats()["deadline_misses"] == 0
+        assert not served.degraded
+        assert ids_and_scores(served.results) == \
+            ids_and_scores(direct.results)
+        assert served.result.stats.snapshot() == direct.stats.snapshot()
+
+    @pytest.mark.parametrize(
+        "bad", [-5, 0, 0.0, math.nan, math.inf, True, "5"]
+    )
+    def test_invalid_deadline_rejected(self, bad):
+        tokenizer = QGramTokenizer()
+        collection = SetCollection.from_strings(["Main Street"], tokenizer)
+        service = SimilarityService(
+            SetSimilaritySearcher(collection), tokenizer=tokenizer
+        )
+        tokens = tokenizer.tokens("Main Street")
+        with pytest.raises(ConfigurationError):
+            service.search(tokens, 0.5, deadline=bad)
+        with pytest.raises(ConfigurationError):
+            service.search_batch([tokens], 0.5, deadline=bad)
+        with ServiceHTTPServer(service, port=0) as server:
+            request = urllib.request.Request(
+                server.url + "/search",
+                data=json.dumps(
+                    {"text": "Main", "threshold": 0.5, "deadline_ms": bad}
+                ).encode("utf-8"),
+            )
+            with pytest.raises(urllib.error.HTTPError) as exc:
+                urllib.request.urlopen(request, timeout=10)
+            exc.value.close()
+        assert exc.value.code == 400
 
 
 class TestConcurrentUse:
@@ -384,10 +445,9 @@ class TestServiceMetrics:
 
     def test_deadline_degradation_counters(self, searcher):
         with obs_metrics.use_registry(obs_metrics.MetricsRegistry()) as reg:
-            slow = TestDeadline._slow_service(searcher, primary_sleep=1.5)
-            with slow as service:
+            with TestDeadline._nra_service(searcher) as service:
                 result = service.search(
-                    ["data", "cleaning"], 0.4, deadline=0.05
+                    ["data", "cleaning"], 0.4, deadline=EXPIRED
                 )
             assert result.degraded
             assert reg.total("deadline_degradations_total") == 1
@@ -470,11 +530,13 @@ class TestHTTPServer:
         )
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(request, timeout=10)
+        exc.value.close()
         assert exc.value.code == 400
 
     def test_unknown_path_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(server.url + "/nope", timeout=10)
+        exc.value.close()
         assert exc.value.code == 404
 
     def test_metrics_endpoint_scrapes_prometheus_text(self, server):
