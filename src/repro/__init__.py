@@ -48,7 +48,6 @@ from .core.updatable import UpdatableSearcher
 from .core.weighted import WeightedSelector
 from .core.weights import IdfStatistics
 from .core.errors import (
-    CircuitOpenError,
     CorruptIndexError,
     DeadlineExceeded,
     ServiceOverloadError,
@@ -106,7 +105,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceResult",
     "SimilarityService",
-    "CircuitOpenError",
     "CorruptIndexError",
     "DeadlineExceeded",
     "ServiceOverloadError",

@@ -75,18 +75,6 @@ class ServiceOverloadError(ReproError):
         self.retry_after = retry_after
 
 
-class CircuitOpenError(ReproError):
-    """The service's circuit breaker is open: the backend is failing fast.
-
-    Raised without touching the backend while the breaker cools down;
-    callers should treat it like overload (retry later).
-    """
-
-    def __init__(self, message: str, retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
 class DeadlineExceeded(ReproError):
     """A query's I/O ledger was charged a page after its deadline, so
     the query stopped mid-scan (the service then degrades it)."""

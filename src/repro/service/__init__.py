@@ -17,12 +17,7 @@ from .cache import (
     result_cache_key,
 )
 from .httpd import ServiceHTTPServer
-from .resilience import (
-    AdmissionController,
-    CircuitBreaker,
-    RetryPolicy,
-    call_with_retries,
-)
+from .resilience import AdmissionController, call_with_retries
 from .service import (
     BATCH_STRATEGIES,
     DEGRADED_ALGORITHM,
@@ -37,9 +32,7 @@ __all__ = [
     "DEGRADED_ALGORITHM",
     "SHARED_SCAN_OVERLAP",
     "AdmissionController",
-    "CircuitBreaker",
     "GenerationLRUCache",
-    "RetryPolicy",
     "ServiceConfig",
     "ServiceHTTPServer",
     "ServiceResult",

@@ -34,11 +34,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
-from ..core.errors import (
-    CircuitOpenError,
-    ReproError,
-    ServiceOverloadError,
-)
+from ..core.errors import ReproError, ServiceOverloadError
+from ..faults.errors import TransientIOError
 from ..obs import metrics as obs_metrics
 from .service import ServiceResult, SimilarityService, validate_deadline
 
@@ -180,16 +177,14 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 self._handle_search(body)
             else:
                 self._handle_batch(body)
-        except (ServiceOverloadError, CircuitOpenError) as exc:
-            # Load shedding / fail-fast: tell the client when to retry.
+        except (ServiceOverloadError, TransientIOError) as exc:
+            # Shed load, or a backend I/O fault that outlived its
+            # retries: both pass, so tell the client when to try again.
+            retry_after = getattr(exc, "retry_after", 1.0)
             self._send_json(
                 503,
                 {"ok": False, "error": str(exc), "overloaded": True},
-                headers={
-                    "Retry-After": str(
-                        max(1, int(round(exc.retry_after)))
-                    )
-                },
+                headers={"Retry-After": str(max(1, round(retry_after)))},
             )
         except ReproError as exc:
             self._send_json(400, {"ok": False, "error": str(exc)})

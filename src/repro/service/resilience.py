@@ -1,20 +1,14 @@
-"""Service resilience primitives: retry, circuit breaker, admission.
+"""Service resilience primitives: immediate retries and admission.
 
-Three small machines sit between :class:`SimilarityService` and its
+Two small pieces sit between :class:`SimilarityService` and its
 backend, turning infrastructure failures (real, or injected by
 :mod:`repro.faults`) into bounded, observable behaviour:
 
-* :class:`RetryPolicy` / :func:`call_with_retries` — bounded retries
-  with exponential backoff and **full jitter**
-  (``uniform(0, min(max_delay, base * 2**attempt))``) for
-  :class:`~repro.faults.errors.TransientIOError`.  The jitter PRNG is
-  seeded and the sleeper injectable, so tests replay exact backoff
-  sequences without sleeping.
-* :class:`CircuitBreaker` — per-backend closed → open → half-open.
-  After ``threshold`` consecutive failures the breaker fails fast with
-  :class:`~repro.core.errors.CircuitOpenError` (no backend call) until
-  ``reset_seconds`` pass on an injectable monotonic clock; the next
-  call is a half-open probe whose outcome closes or re-opens it.
+* :func:`call_with_retries` — up to :data:`RETRY_ATTEMPTS` immediate
+  tries for :class:`~repro.faults.errors.TransientIOError`.  The backend
+  is in memory, so a re-run is cheap and nothing is gained by sleeping
+  between tries; every other exception, a missed deadline included,
+  propagates at once.
 * :class:`AdmissionController` — bounded in-flight work.  Arrivals that
   would exceed ``max_inflight`` are shed immediately with
   :class:`~repro.core.errors.ServiceOverloadError` (the HTTP layer maps
@@ -22,227 +16,51 @@ backend, turning infrastructure failures (real, or injected by
   draining controller sheds everything new while :meth:`drain` waits
   for in-flight queries to finish.
 
-Metrics (through the PR-3 registry, when enabled): ``retries_total``,
-``retry_backoff_seconds``, ``breaker_state``, ``queries_shed_total``
-(by reason), ``service_inflight_queries``.  Knob-to-behaviour mapping
-lives in ``docs/robustness.md``.
+Metrics (through :mod:`repro.obs.metrics`, when enabled):
+``retries_total``, ``queries_shed_total`` (by reason) and
+``service_inflight_queries``.  Knob-to-behaviour mapping lives in
+``docs/robustness.md``.
 """
 
 from __future__ import annotations
 
-import random
 import threading
-import time
-from typing import Callable, Optional, Tuple, Type
+from typing import Callable, Optional
 
-from ..core.errors import CircuitOpenError, ServiceOverloadError
+from ..core.errors import ServiceOverloadError
 from ..faults.errors import TransientIOError
 from ..obs import metrics as obs_metrics
 
 __all__ = [
-    "RetryPolicy",
+    "RETRY_ATTEMPTS",
     "call_with_retries",
-    "CircuitBreaker",
     "AdmissionController",
-    "BREAKER_CLOSED",
-    "BREAKER_OPEN",
-    "BREAKER_HALF_OPEN",
 ]
 
-BREAKER_CLOSED = 0
-BREAKER_OPEN = 1
-BREAKER_HALF_OPEN = 2
-
-_STATE_NAMES = {
-    BREAKER_CLOSED: "closed",
-    BREAKER_OPEN: "open",
-    BREAKER_HALF_OPEN: "half-open",
-}
+#: Total tries per backend call (one first try plus two retries).
+RETRY_ATTEMPTS = 3
 
 
-class RetryPolicy:
-    """Bounded retries with seeded exponential backoff + full jitter.
+def call_with_retries(fn: Callable, *args):
+    """Invoke ``fn(*args)``, re-running it at once on a transient error.
 
-    ``attempts`` counts *total* tries (1 = no retries).  Delay before
-    retry ``k`` (0-based) is drawn uniformly from
-    ``[0, min(max_delay, base_delay * 2**k))`` — AWS-style full jitter,
-    which decorrelates retry storms better than equal jitter.  The draw
-    comes from one seeded PRNG under a lock, so a single-threaded test
-    sees a reproducible delay sequence; ``sleeper`` defaults to
-    :func:`time.sleep` and is replaced by a recording stub in tests.
+    Only :class:`TransientIOError` is retried, at most
+    ``RETRY_ATTEMPTS - 1`` times; the last one propagates when every try
+    failed.  Any other exception propagates immediately.  Each retry
+    bumps ``retries_total``.
     """
-
-    def __init__(
-        self,
-        attempts: int = 3,
-        base_delay: float = 0.05,
-        max_delay: float = 1.0,
-        seed: int = 0,
-        sleeper: Optional[Callable[[float], None]] = None,
-        retryable: Tuple[Type[BaseException], ...] = (TransientIOError,),
-    ) -> None:
-        if attempts < 1:
-            raise ValueError("attempts must be >= 1")
-        if base_delay < 0 or max_delay < 0:
-            raise ValueError("delays must be non-negative")
-        self.attempts = attempts
-        self.base_delay = base_delay
-        self.max_delay = max_delay
-        self.seed = seed
-        self.sleeper = sleeper if sleeper is not None else time.sleep
-        self.retryable = retryable
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-
-    def backoff(self, retry_index: int) -> float:
-        """Jittered delay before 0-based retry ``retry_index``."""
-        ceiling = min(self.max_delay, self.base_delay * (2 ** retry_index))
-        with self._lock:
-            return self._rng.uniform(0.0, ceiling)
-
-    def __repr__(self) -> str:
-        return (
-            f"RetryPolicy(attempts={self.attempts}, "
-            f"base={self.base_delay}, max={self.max_delay})"
-        )
-
-
-def call_with_retries(fn: Callable, *args, policy: RetryPolicy):
-    """Invoke ``fn(*args)``, retrying per ``policy`` on retryable errors.
-
-    Non-retryable exceptions propagate immediately; the last retryable
-    error propagates after the attempt budget is spent.  Each retry
-    bumps ``retries_total`` and records its backoff in the
-    ``retry_backoff_seconds`` histogram.
-    """
-    registry = obs_metrics.get_registry()
-    last: Optional[BaseException] = None
-    for attempt in range(policy.attempts):
+    for attempt in range(1, RETRY_ATTEMPTS + 1):
         try:
             return fn(*args)
-        except policy.retryable as exc:
-            last = exc
-            if attempt == policy.attempts - 1:
-                break
-            delay = policy.backoff(attempt)
-            if registry.enabled:
-                registry.counter(
-                    "retries_total",
-                    "Backend calls retried after a transient failure.",
-                ).inc()
-                registry.histogram(
-                    "retry_backoff_seconds",
-                    "Jittered backoff slept before each retry.",
-                    buckets=(
-                        0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0,
-                    ),
-                ).observe(delay)
-            if delay > 0.0:
-                policy.sleeper(delay)
-    assert last is not None  # the loop either returned or recorded an error
-    raise last
-
-
-class CircuitBreaker:
-    """Consecutive-failure circuit breaker with a half-open probe.
-
-    ``allow()`` is called before each backend attempt: it raises
-    :class:`CircuitOpenError` while open, and admits exactly one probe
-    at a time once ``reset_seconds`` have elapsed (half-open).  The
-    caller reports the outcome via :meth:`record_success` /
-    :meth:`record_failure`.  The ``breaker_state`` gauge mirrors the
-    state (0 closed / 1 open / 2 half-open).
-    """
-
-    def __init__(
-        self,
-        threshold: int = 5,
-        reset_seconds: float = 30.0,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        if reset_seconds <= 0:
-            raise ValueError("reset_seconds must be positive")
-        self.threshold = threshold
-        self.reset_seconds = reset_seconds
-        self.clock = clock if clock is not None else time.monotonic
-        self._lock = threading.Lock()
-        self._state = BREAKER_CLOSED
-        self._failures = 0
-        self._opened_at = 0.0
-        self._probing = False
-
-    @property
-    def state(self) -> int:
-        with self._lock:
-            return self._state
-
-    @property
-    def state_name(self) -> str:
-        return _STATE_NAMES[self.state]
-
-    def _set_state(self, state: int) -> None:
-        # Caller holds the lock.
-        self._state = state
+        except TransientIOError:
+            if attempt == RETRY_ATTEMPTS:
+                raise
         registry = obs_metrics.get_registry()
         if registry.enabled:
-            registry.gauge(
-                "breaker_state",
-                "Circuit breaker state: 0 closed, 1 open, 2 half-open.",
-            ).set(state)
-
-    def allow(self) -> None:
-        """Admit one attempt or raise :class:`CircuitOpenError`."""
-        with self._lock:
-            if self._state == BREAKER_CLOSED:
-                return
-            if self._state == BREAKER_OPEN:
-                remaining = (
-                    self._opened_at + self.reset_seconds - self.clock()
-                )
-                if remaining > 0.0:
-                    raise CircuitOpenError(
-                        f"circuit breaker open for another "
-                        f"{remaining:.3f}s after {self._failures} "
-                        "consecutive failures",
-                        retry_after=max(remaining, 0.001),
-                    )
-                self._set_state(BREAKER_HALF_OPEN)
-                self._probing = False
-            # Half-open: exactly one in-flight probe decides the state.
-            if self._probing:
-                raise CircuitOpenError(
-                    "circuit breaker half-open: a probe is already "
-                    "in flight",
-                    retry_after=self.reset_seconds,
-                )
-            self._probing = True
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._failures = 0
-            self._probing = False
-            if self._state != BREAKER_CLOSED:
-                self._set_state(BREAKER_CLOSED)
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self._failures += 1
-            self._probing = False
-            if (
-                self._state == BREAKER_HALF_OPEN
-                or self._failures >= self.threshold
-            ):
-                self._opened_at = self.clock()
-                if self._state != BREAKER_OPEN:
-                    self._set_state(BREAKER_OPEN)
-
-    def __repr__(self) -> str:
-        return (
-            f"CircuitBreaker(state={self.state_name}, "
-            f"failures={self._failures}/{self.threshold})"
-        )
+            registry.counter(
+                "retries_total",
+                "Backend calls retried after a transient failure.",
+            ).inc()
 
 
 class AdmissionController:

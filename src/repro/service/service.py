@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..algorithms.base import AlgorithmResult
 from ..algorithms.batch import BatchSelector, batch_overlap_factor
@@ -53,12 +53,7 @@ from .cache import (
     prepared_cache_key,
     result_cache_key,
 )
-from .resilience import (
-    AdmissionController,
-    CircuitBreaker,
-    RetryPolicy,
-    call_with_retries,
-)
+from .resilience import AdmissionController, call_with_retries
 
 DEGRADED_ALGORITHM = "sf"
 
@@ -98,14 +93,6 @@ class ServiceConfig:
     degrade_tighten:
         How far the fallback cutoff moves from ``tau`` toward ``1.0``
         on a deadline miss: ``tau' = tau + degrade_tighten * (1 - tau)``.
-    retry_attempts / retry_base_delay / retry_max_delay / retry_seed:
-        Bounded-retry policy for transient backend I/O failures
-        (:class:`~repro.service.resilience.RetryPolicy`): total tries,
-        exponential-backoff base and cap (seconds), and the jitter
-        PRNG seed.
-    breaker_threshold / breaker_reset_seconds:
-        Circuit breaker: consecutive failures before opening, and how
-        long it fails fast before admitting a half-open probe.
     max_inflight:
         Admission-control bound on concurrently admitted queries
         (batch weight = batch size); ``None`` disables shedding.
@@ -117,12 +104,6 @@ class ServiceConfig:
         "prepared_cache_size",
         "deadline_seconds",
         "degrade_tighten",
-        "retry_attempts",
-        "retry_base_delay",
-        "retry_max_delay",
-        "retry_seed",
-        "breaker_threshold",
-        "breaker_reset_seconds",
         "max_inflight",
     )
 
@@ -133,23 +114,11 @@ class ServiceConfig:
         prepared_cache_size: int = 4096,
         deadline_seconds: Optional[float] = None,
         degrade_tighten: float = 0.5,
-        retry_attempts: int = 3,
-        retry_base_delay: float = 0.05,
-        retry_max_delay: float = 1.0,
-        retry_seed: int = 0,
-        breaker_threshold: int = 5,
-        breaker_reset_seconds: float = 30.0,
         max_inflight: Optional[int] = None,
     ) -> None:
         if not (0.0 < degrade_tighten <= 1.0):
             raise ConfigurationError("degrade_tighten must be in (0, 1]")
         validate_deadline(deadline_seconds, "deadline_seconds")
-        if retry_attempts < 1:
-            raise ConfigurationError("retry_attempts must be >= 1")
-        if breaker_threshold < 1:
-            raise ConfigurationError("breaker_threshold must be >= 1")
-        if breaker_reset_seconds <= 0.0:
-            raise ConfigurationError("breaker_reset_seconds must be positive")
         if max_inflight is not None and max_inflight < 1:
             raise ConfigurationError("max_inflight must be >= 1")
         self.algorithm = algorithm
@@ -157,12 +126,6 @@ class ServiceConfig:
         self.prepared_cache_size = prepared_cache_size
         self.deadline_seconds = deadline_seconds
         self.degrade_tighten = degrade_tighten
-        self.retry_attempts = retry_attempts
-        self.retry_base_delay = retry_base_delay
-        self.retry_max_delay = retry_max_delay
-        self.retry_seed = retry_seed
-        self.breaker_threshold = breaker_threshold
-        self.breaker_reset_seconds = breaker_reset_seconds
         self.max_inflight = max_inflight
 
     def degraded_tau(self, tau: float) -> float:
@@ -377,16 +340,6 @@ class SimilarityService:
             else None
         )
         self._counter_lock = threading.Lock()
-        self._retry = RetryPolicy(
-            attempts=self.config.retry_attempts,
-            base_delay=self.config.retry_base_delay,
-            max_delay=self.config.retry_max_delay,
-            seed=self.config.retry_seed,
-        )
-        self._breaker = CircuitBreaker(
-            threshold=self.config.breaker_threshold,
-            reset_seconds=self.config.breaker_reset_seconds,
-        )
         self._admission = AdmissionController(self.config.max_inflight)
         self.queries_served = 0
         self.degraded_count = 0
@@ -445,7 +398,6 @@ class SimilarityService:
             "deadline_misses": self.deadline_misses,
             "inflight": self._admission.inflight,
             "draining": self._admission.draining,
-            "breaker_state": self._breaker.state_name,
             "result_cache": (
                 self._results.stats() if self._results else None
             ),
@@ -454,61 +406,19 @@ class SimilarityService:
             ),
         }
 
-    # -- resilient backend execution -----------------------------------
-    def _execute_raw(
-        self,
-        tokens: Sequence[str],
-        prepared: PreparedQuery,
-        tau: float,
-        algorithm: str,
-        deadline: Optional[float],
-    ) -> AlgorithmResult:
-        faults_runtime.maybe_fire("service.execute")
-        return self._backend.execute(
-            tokens, prepared, tau, algorithm, deadline
-        )
-
-    def _execute_resilient(
-        self,
-        tokens: Sequence[str],
-        prepared: PreparedQuery,
-        tau: float,
-        algorithm: str,
-        deadline: Optional[float] = None,
-    ) -> AlgorithmResult:
-        """One backend execution behind the breaker and retry policy.
-
-        Transient I/O errors (real or injected at the
-        ``service.execute`` fault point) are retried with jittered
-        backoff; exhausted retries and unexpected failures feed the
-        circuit breaker, which fails fast once ``breaker_threshold``
-        consecutive executions have failed.  A missed ``deadline``
-        (a ``time.perf_counter()`` instant) is neither retried nor a
-        failure.
+    # -- backend execution --------------------------------------------
+    def _execute(self, fn: Callable, *args):
+        """Run one backend call, ``fn(*args)``, at the ``service.execute``
+        fault site.  A transient I/O error (real or injected) re-runs it
+        at once, up to :data:`~repro.service.resilience.RETRY_ATTEMPTS`
+        tries; a missed deadline, like any other error, is not retried.
         """
-        self._breaker.allow()
-        try:
-            result = call_with_retries(
-                self._execute_raw,
-                tokens,
-                prepared,
-                tau,
-                algorithm,
-                deadline,
-                policy=self._retry,
-            )
-        except DeadlineExceeded:
-            # A slow backend is a healthy one; this also releases a
-            # half-open probe instead of leaving it in flight.
-            self._breaker.record_success()
-            raise
-        except Exception:  # repro-check: allow-broad-except
-            # Any failure flavour counts against the breaker; the
-            # exception itself is re-raised untouched.
-            self._breaker.record_failure()
-            raise
-        self._breaker.record_success()
-        return result
+
+        def attempt():
+            faults_runtime.maybe_fire("service.execute")
+            return fn(*args)
+
+        return call_with_retries(attempt)
 
     # -- single-query path ---------------------------------------------
     def search(
@@ -642,8 +552,9 @@ class SimilarityService:
             None if deadline is None else time.perf_counter() + deadline
         )
         try:
-            result = self._execute_resilient(
-                tokens, prepared, tau, algorithm, expires
+            result = self._execute(
+                self._backend.execute,
+                tokens, prepared, tau, algorithm, expires,
             )
         except DeadlineExceeded:
             self._count(deadline_misses=1)
@@ -652,8 +563,9 @@ class SimilarityService:
                 self._results.put(key, version, result)
             return ServiceResult(result, tau, algorithm)
         fallback_tau = self.config.degraded_tau(tau)
-        fallback = self._execute_resilient(
-            tokens, prepared, fallback_tau, DEGRADED_ALGORITHM
+        fallback = self._execute(
+            self._backend.execute,
+            tokens, prepared, fallback_tau, DEGRADED_ALGORITHM, None,
         )
         return ServiceResult(
             fallback,
@@ -830,8 +742,8 @@ class SimilarityService:
             miss_indices.append(i)
         if not miss_indices:
             return
-        results, _stats = selector.search_many(
-            [prepared[i] for i in miss_indices], tau
+        results, _stats = self._execute(
+            selector.search_many, [prepared[i] for i in miss_indices], tau
         )
         for i, result in zip(miss_indices, results):
             key = result_cache_key(tuple(queries[i]), tau, "batch")

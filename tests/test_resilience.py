@@ -1,19 +1,20 @@
-"""Tests for the service resilience layer (retry / breaker / admission).
+"""Tests for the service resilience layer (retries / admission).
 
 The contract under test, per ``docs/robustness.md``:
 
-* transient backend failures are retried with seeded full-jitter
-  backoff and absorbed — results under injected faults are *identical*
-  to a fault-free run, with ``retries_total > 0`` proving retries did
-  the absorbing;
-* the circuit breaker opens after ``threshold`` consecutive failures,
-  fails fast while open, and closes through a single half-open probe;
+* a transient backend failure is re-run at once, at most three tries in
+  all, and absorbed — results under injected faults are *identical* to
+  a fault-free run, with ``retries_total > 0`` proving retries did the
+  absorbing, and nothing sleeps;
+* a failure in one query never refuses another: there is no state
+  carried from one backend call to the next;
 * admission control sheds (never queues) work beyond ``max_inflight``
   and while draining, with ``Retry-After`` guidance in the error;
 * drain waits for in-flight queries, then the service refuses new ones.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -24,19 +25,15 @@ from repro import (
     SimilarityService,
 )
 from repro.core.errors import (
-    CircuitOpenError,
     ConfigurationError,
+    DeadlineExceeded,
     ServiceOverloadError,
 )
 from repro.faults import TransientIOError, use_fault_plan
 from repro.obs import metrics as obs_metrics
 from repro.service.resilience import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
+    RETRY_ATTEMPTS,
     AdmissionController,
-    CircuitBreaker,
-    RetryPolicy,
     call_with_retries,
 )
 
@@ -59,136 +56,53 @@ def searcher():
     return SetSimilaritySearcher(SetCollection.from_token_sets(TOKEN_SETS))
 
 
-class _Flaky:
-    """Callable failing with TransientIOError the first ``n`` calls."""
+def answer_sets(results):
+    return [
+        {(r.set_id, round(r.score, 9)) for r in res.result.results}
+        for res in results
+    ]
 
-    def __init__(self, failures, result="done"):
+
+class _Flaky:
+    """Callable raising ``error`` (a TransientIOError by default) the
+    first ``failures`` calls, then returning ``"done"``."""
+
+    def __init__(self, failures, error=None):
         self.remaining = failures
-        self.result = result
+        self.error = error or TransientIOError("test.site")
         self.calls = 0
 
     def __call__(self):
         self.calls += 1
         if self.remaining > 0:
             self.remaining -= 1
-            raise TransientIOError("test.site")
-        return self.result
+            raise self.error
+        return "done"
 
 
 class TestRetryPolicy:
-    def test_backoff_is_seeded_and_bounded(self):
-        a = RetryPolicy(base_delay=0.1, max_delay=0.5, seed=9)
-        b = RetryPolicy(base_delay=0.1, max_delay=0.5, seed=9)
-        seq_a = [a.backoff(k) for k in range(6)]
-        seq_b = [b.backoff(k) for k in range(6)]
-        assert seq_a == seq_b
-        for k, delay in enumerate(seq_a):
-            assert 0.0 <= delay <= min(0.5, 0.1 * 2 ** k)
-        # The exponential ceiling caps at max_delay.
-        assert max(seq_a) <= 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay=-1.0)
-
     def test_success_after_transient_failures(self):
-        slept = []
-        policy = RetryPolicy(attempts=3, seed=1, sleeper=slept.append)
-        flaky = _Flaky(failures=2)
-        assert call_with_retries(flaky, policy=policy) == "done"
-        assert flaky.calls == 3
-        assert len(slept) == 2  # one backoff per retry, via the stub
+        flaky = _Flaky(failures=RETRY_ATTEMPTS - 1)
+        assert call_with_retries(flaky) == "done"
+        assert flaky.calls == RETRY_ATTEMPTS
 
     def test_budget_exhaustion_reraises_last_error(self):
-        policy = RetryPolicy(attempts=2, seed=1, sleeper=lambda _d: None)
+        flaky = _Flaky(failures=5)
         with pytest.raises(TransientIOError):
-            call_with_retries(_Flaky(failures=5), policy=policy)
+            call_with_retries(flaky)
+        assert flaky.calls == RETRY_ATTEMPTS
 
     def test_non_retryable_propagates_immediately(self):
-        policy = RetryPolicy(attempts=5, seed=1, sleeper=lambda _d: None)
-        calls = []
-
-        def boom():
-            calls.append(1)
-            raise ValueError("not transient")
-
-        with pytest.raises(ValueError):
-            call_with_retries(boom, policy=policy)
-        assert len(calls) == 1
+        for error in (ValueError("not transient"), DeadlineExceeded("late")):
+            flaky = _Flaky(failures=1, error=error)
+            with pytest.raises(type(error)):
+                call_with_retries(flaky)
+            assert flaky.calls == 1
 
     def test_retry_metrics(self):
         with obs_metrics.use_registry(obs_metrics.MetricsRegistry()) as reg:
-            policy = RetryPolicy(attempts=4, seed=1, sleeper=lambda _d: None)
-            call_with_retries(_Flaky(failures=3), policy=policy)
-            assert reg.total("retries_total") == 3
-            assert reg.get("retry_backoff_seconds").labels().count == 3
-
-
-class TestCircuitBreaker:
-    @staticmethod
-    def _broken(threshold=3, reset_seconds=10.0):
-        clock = {"now": 0.0}
-        breaker = CircuitBreaker(
-            threshold=threshold,
-            reset_seconds=reset_seconds,
-            clock=lambda: clock["now"],
-        )
-        return breaker, clock
-
-    def test_opens_after_consecutive_failures(self):
-        breaker, _clock = self._broken(threshold=3)
-        for _ in range(3):
-            breaker.allow()
-            breaker.record_failure()
-        assert breaker.state == BREAKER_OPEN
-        with pytest.raises(CircuitOpenError) as exc:
-            breaker.allow()
-        assert exc.value.retry_after > 0
-
-    def test_success_resets_the_failure_streak(self):
-        breaker, _clock = self._broken(threshold=3)
-        for _ in range(2):
-            breaker.allow()
-            breaker.record_failure()
-        breaker.allow()
-        breaker.record_success()
-        breaker.allow()
-        breaker.record_failure()  # streak restarted: 1 of 3
-        assert breaker.state == BREAKER_CLOSED
-
-    def test_half_open_probe_closes_on_success(self):
-        breaker, clock = self._broken(threshold=2, reset_seconds=5.0)
-        for _ in range(2):
-            breaker.allow()
-            breaker.record_failure()
-        clock["now"] = 6.0
-        breaker.allow()  # the half-open probe
-        assert breaker.state == BREAKER_HALF_OPEN
-        # Only one probe at a time: a second caller is refused.
-        with pytest.raises(CircuitOpenError):
-            breaker.allow()
-        breaker.record_success()
-        assert breaker.state == BREAKER_CLOSED
-        assert breaker.state_name == "closed"
-
-    def test_half_open_probe_failure_reopens(self):
-        breaker, clock = self._broken(threshold=2, reset_seconds=5.0)
-        for _ in range(2):
-            breaker.allow()
-            breaker.record_failure()
-        clock["now"] = 6.0
-        breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == BREAKER_OPEN
-
-    def test_state_gauge(self):
-        with obs_metrics.use_registry(obs_metrics.MetricsRegistry()) as reg:
-            breaker, _clock = self._broken(threshold=1)
-            breaker.allow()
-            breaker.record_failure()
-            assert reg.get("breaker_state").labels().value == BREAKER_OPEN
+            call_with_retries(_Flaky(failures=2))
+            assert reg.total("retries_total") == 2
 
 
 class TestAdmissionController:
@@ -239,68 +153,98 @@ class TestAdmissionController:
 class TestServiceResilience:
     """The service-level wiring: faults in, identical answers out."""
 
-    @staticmethod
-    def _service(searcher, **overrides):
-        config = ServiceConfig(
-            retry_base_delay=0.0,  # jitter draws collapse to 0: no sleeping
-            **overrides,
-        )
-        return SimilarityService(searcher, config=config)
-
-    def test_batch_exact_under_transient_read_faults(self, searcher):
+    @pytest.mark.parametrize(
+        "site, options",
+        [
+            ("service.execute", {}),
+            ("storage.read_page", {}),
+            ("storage.hash_probe", {"algorithm": "ita"}),
+            ("storage.read_page", {"strategy": "shared"}),
+        ],
+        ids=[
+            "service.execute",
+            "storage.read_page",
+            "storage.hash_probe-ita",
+            "storage.read_page-shared",
+        ],
+    )
+    def test_batch_exact_under_transient_read_faults(
+        self, searcher, site, options
+    ):
         with SimilarityService(searcher) as plain:
-            baseline = [
-                {(r.set_id, round(r.score, 9)) for r in res.result.results}
-                for res in plain.search_batch(QUERIES, 0.4)
-            ]
+            baseline = answer_sets(plain.search_batch(QUERIES, 0.4, **options))
         with obs_metrics.use_registry(obs_metrics.MetricsRegistry()) as reg:
-            with self._service(searcher) as service:
+            with SimilarityService(searcher) as service:
+                # Two failures in a row: the third try must succeed.
                 with use_fault_plan(
-                    "seed=11;service.execute:transient:p=0.4"
+                    f"{site}:transient:count={RETRY_ATTEMPTS - 1}"
                 ) as plan:
-                    results = service.search_batch(QUERIES, 0.4)
-            got = [
-                {(r.set_id, round(r.score, 9)) for r in res.result.results}
-                for res in results
-            ]
-            assert got == baseline
-            assert plan.injected_total() > 0  # faults actually fired...
-            assert reg.total("retries_total") > 0  # ...and were retried
+                    results = service.search_batch(QUERIES, 0.4, **options)
+            assert answer_sets(results) == baseline
+            assert plan.injected_total() == RETRY_ATTEMPTS - 1
+            assert reg.total("retries_total") == RETRY_ATTEMPTS - 1
+
+    def test_shared_scan_retries_are_bounded(self, searcher):
+        with SimilarityService(searcher) as service:
+            with use_fault_plan("storage.read_page:transient:p=1") as plan:
+                with pytest.raises(TransientIOError):
+                    service.search_batch(QUERIES, 0.4, strategy="shared")
+        assert plan.injected_total() == RETRY_ATTEMPTS
+
+    def test_deadline_fallback_absorbs_a_transient_fault(self, searcher):
+        config = ServiceConfig(algorithm="nra")
+        with SimilarityService(searcher, config=config) as service:
+            # The primary's call passes, then the fallback's first two
+            # tries fail: the third one answers.
+            with use_fault_plan(
+                "service.execute:transient:after=1:count=2"
+            ) as plan:
+                result = service.search(
+                    ["data", "cleaning"], 0.4, deadline=1e-9
+                )
+        assert result.degraded and result.results
+        assert plan.injected_total() == 2
+
+    def test_failed_ita_queries_leave_sf_answering(self, searcher):
+        query = ["query", "processing"]
+        expected = searcher.search(query, 0.4, algorithm="sf").results
+        with SimilarityService(searcher) as service:
+            with use_fault_plan("storage.hash_probe:transient:p=1"):
+                for _ in range(10):
+                    with pytest.raises(TransientIOError):
+                        service.search(query, 0.4, algorithm="ita")
+                answer = service.search(query, 0.4, algorithm="sf")
+        assert answer.results == expected
+
+    def test_absorbed_fault_never_sleeps(self, searcher, monkeypatch):
+        def no_sleep(_seconds):
+            raise AssertionError("a retry slept")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        with SimilarityService(searcher) as service:
+            with use_fault_plan("service.execute:transient:count=2"):
+                assert service.search(["data", "cleaning"], 0.4).results
 
     def test_retry_budget_exhaustion_surfaces_the_error(self, searcher):
-        with self._service(searcher, retry_attempts=2) as service:
-            with use_fault_plan("service.execute:transient:p=1"):
+        with SimilarityService(searcher) as service:
+            with use_fault_plan("service.execute:transient:p=1") as plan:
                 with pytest.raises(TransientIOError):
                     service.search(["data", "cleaning"], 0.4)
-
-    def test_breaker_opens_and_fails_fast(self, searcher):
-        with self._service(
-            searcher, retry_attempts=1, breaker_threshold=2
-        ) as service:
-            with use_fault_plan("service.execute:transient:p=1") as plan:
-                for _ in range(2):
-                    with pytest.raises(TransientIOError):
-                        service.search(["query", "processing"], 0.4)
-                fired_before = plan.injected_total()
-                # Breaker now open: fails fast without touching the
-                # backend (no further injections).
-                with pytest.raises(CircuitOpenError):
-                    service.search(["query", "processing"], 0.4)
-                assert plan.injected_total() == fired_before
-            assert service.stats()["breaker_state"] == "open"
+            assert plan.injected_total() == RETRY_ATTEMPTS
 
     def test_max_inflight_sheds_concurrent_queries(self, searcher):
-        with self._service(searcher, max_inflight=1) as service:
+        config = ServiceConfig(max_inflight=1)
+        with SimilarityService(searcher, config=config) as service:
             entered = threading.Event()
             unblock = threading.Event()
-            original = service._execute_raw
+            original = service._execute
 
             def slow_execute(*args):
                 entered.set()
                 unblock.wait(5.0)
                 return original(*args)
 
-            service._execute_raw = slow_execute
+            service._execute = slow_execute
             worker = threading.Thread(
                 target=lambda: service.search(["data", "cleaning"], 0.4)
             )
@@ -314,7 +258,7 @@ class TestServiceResilience:
                 worker.join()
 
     def test_drain_then_refuse(self, searcher):
-        with self._service(searcher) as service:
+        with SimilarityService(searcher) as service:
             service.search(["data", "cleaning"], 0.4)
             assert service.drain(timeout=5.0)
             assert service.stats()["draining"]
@@ -323,15 +267,10 @@ class TestServiceResilience:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            ServiceConfig(retry_attempts=0)
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(breaker_threshold=0)
-        with pytest.raises(ConfigurationError):
             ServiceConfig(max_inflight=0)
 
     def test_stats_surface_resilience_state(self, searcher):
-        with self._service(searcher) as service:
+        with SimilarityService(searcher) as service:
             stats = service.stats()
             assert stats["inflight"] == 0
             assert stats["draining"] is False
-            assert stats["breaker_state"] == "closed"

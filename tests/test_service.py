@@ -29,10 +29,10 @@ from repro import (
 )
 from repro.core.errors import ConfigurationError, EmptyQueryError
 from repro.data.synthetic import generate_word_database
+from repro.faults import use_fault_plan
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.service import (
-    CircuitBreaker,
     GenerationLRUCache,
     ServiceHTTPServer,
     result_cache_key,
@@ -308,29 +308,25 @@ class TestDeadline:
             assert result.degraded
             assert set(threading.enumerate()) <= before
 
-    def test_misses_leave_the_breaker_closed(self, searcher):
-        with self._nra_service(searcher, breaker_threshold=2) as service:
+    def test_misses_are_never_retried(self, searcher):
+        """A miss is not a backend failure: each one costs exactly one
+        primary call and one fallback call."""
+        with self._nra_service(searcher) as service:
+            algorithms = []
+            execute = service._backend.execute
+
+            def recording_execute(tokens, prepared, tau, algorithm, deadline):
+                algorithms.append(algorithm)
+                return execute(tokens, prepared, tau, algorithm, deadline)
+
+            service._backend.execute = recording_execute
             for _ in range(3):
                 assert service.search(
                     ["data", "cleaning"], 0.4, deadline=EXPIRED
                 ).degraded
             stats = service.stats()
         assert stats["deadline_misses"] == 3
-        assert stats["breaker_state"] == "closed"
-
-    def test_miss_during_half_open_probe_still_degrades(self, searcher):
-        now = [0.0]
-        with self._nra_service(searcher) as service:
-            service._breaker = CircuitBreaker(
-                threshold=1, reset_seconds=1.0, clock=lambda: now[0]
-            )
-            service._breaker.record_failure()  # open
-            now[0] = 2.0  # cooled down: the next call is the probe
-            result = service.search(
-                ["data", "cleaning"], 0.4, deadline=EXPIRED
-            )
-            assert result.degraded
-            assert service.stats()["breaker_state"] == "closed"
+        assert algorithms == ["nra", "sf"] * 3
 
     def test_stopped_query_leaves_no_span_open(self, searcher):
         with obs_trace.capture() as tracer:
@@ -607,6 +603,24 @@ class TestHTTPResilience:
             assert errors.labels(status="503").value == 1
             shed = reg.get("queries_shed_total")
             assert shed.labels(reason="draining").value == 1
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/search", {"text": "Main", "threshold": 0.5}),
+            ("/batch", {"queries": ["Main", "Elm"], "threshold": 0.5}),
+        ],
+    )
+    def test_exhausted_transient_fault_returns_503(self, server, path, body):
+        with use_fault_plan("service.execute:transient:p=1"):
+            for _ in range(8):
+                with pytest.raises(urllib.error.HTTPError) as exc:
+                    self._post_raw(server.url + path, body)
+                assert exc.value.code == 503
+                assert exc.value.headers["Retry-After"] == "1"
+                reply = json.loads(exc.value.read())
+                exc.value.close()
+                assert reply["overloaded"] and not reply["ok"]
 
     def test_unexpected_error_returns_json_500(self, server):
         def explode(*_args, **_kwargs):

@@ -5,14 +5,13 @@ or service code is exactly how corruption spreads: an injected
 :class:`~repro.faults.errors.TornWriteError`, a checksum failure, or a
 contract violation gets eaten, the caller proceeds on damaged state,
 and the failure surfaces far from its cause — or never.  The
-robustness layer (PR 5) depends on these exceptions propagating to the
-retry/breaker/recovery machinery that knows what to do with them.
+robustness layer depends on these exceptions propagating to the retry
+and recovery machinery that knows what to do with them.
 
 This pass flags ``except Exception`` / ``except BaseException`` / bare
 ``except`` handlers in ``repro.storage.*`` and ``repro.service.*``
-(both as tuple elements too).  Genuinely-deliberate catch-alls — the
-HTTP front end's last-resort JSON-500 mapper, a breaker recording any
-failure before re-raising — carry an explicit
+(both as tuple elements too).  Genuinely-deliberate catch-alls, such
+as the HTTP front end's last-resort JSON-500 mapper, carry an explicit
 ``# repro-check: allow-broad-except`` pragma, making every broad
 handler in the failure-critical layers a reviewed decision.
 """
