@@ -17,9 +17,10 @@ to load-test the service layer:
   registry (empty body when telemetry is disabled).
 * ``GET /healthz`` — liveness.
 
-The server is a ``ThreadingHTTPServer``: one thread per connection, all
-sharing the service's caches (which are lock-protected) and its
-read-only index.
+The server is a ``ThreadingHTTPServer``: one thread per persistent
+connection, all sharing the service's caches (which are lock-protected)
+and its read-only index.  A body the server cannot read ends its
+connection with a 400.
 
 >>> server = ServiceHTTPServer(service, host="127.0.0.1", port=0)
 >>> server.start()          # doctest: +SKIP
@@ -52,11 +53,41 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     """
 
     protocol_version = "HTTP/1.1"
+    # A response written in two parts with Nagle's algorithm on holds
+    # its second part until the client's delayed ACK arrives (~40 ms on
+    # Linux).  ``_send`` writes each response once, and with Nagle off
+    # the tail of one larger than a segment does not wait either.
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:
         if self.server.verbose:
             super().log_message(format, *args)
+
+    def _send(
+        self,
+        status: int,
+        content_type: str,
+        data: bytes,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        """Write the status line, the headers and ``data`` in one write,
+        with ``Connection: close`` when the connection will close."""
+        self.log_request(status)
+        fields = {
+            "Server": self.version_string(),
+            "Date": self.date_time_string(),
+            "Content-Type": content_type,
+            "Content-Length": str(len(data)),
+            **(headers or {}),
+        }
+        if self.close_connection:
+            fields["Connection"] = "close"
+        head = [f"{self.protocol_version} {status} {self.responses[status][0]}"]
+        head += [f"{name}: {value}" for name, value in fields.items()]
+        self.wfile.write(
+            ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + data
+        )
 
     def _send_json(
         self,
@@ -73,23 +104,40 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                     ("status",),
                 ).labels(status=str(status)).inc()
         data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+        self._send(status, "application/json", data, headers)
 
-    def _read_json(self) -> Optional[Dict[str, Any]]:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0 or length > MAX_BODY_BYTES:
+    def _read_body(self) -> Optional[bytes]:
+        """The declared request body, or ``None`` after a 400.
+
+        A body left unread on a keep-alive connection would be parsed
+        as the next request.  So one that cannot be read — a
+        Content-Length that is not a decimal integer or is over
+        ``MAX_BODY_BYTES``, or a chunked body — closes the connection.
+        """
+        declared = self.headers.get("Content-Length", "0").strip()
+        length = declared.lstrip("0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            error = "invalid Content-Length"
+        elif (
+            len(length) > len(str(MAX_BODY_BYTES))
+            or int(length) > MAX_BODY_BYTES
+            or "Transfer-Encoding" in self.headers
+        ):
+            error = "missing or oversized body"
+        else:
+            return self.rfile.read(int(length))
+        self.close_connection = True
+        self._send_json(400, {"ok": False, "error": error})
+        return None
+
+    def _parse_json(self, raw: bytes) -> Optional[Dict[str, Any]]:
+        if not raw:
             self._send_json(
                 400, {"ok": False, "error": "missing or oversized body"}
             )
             return None
         try:
-            body = json.loads(self.rfile.read(length).decode("utf-8"))
+            body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self._send_json(400, {"ok": False, "error": f"bad JSON: {exc}"})
             return None
@@ -108,18 +156,6 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 "HTTP requests by path (unknown paths fold into 'other').",
                 ("path",),
             ).labels(path=path).inc()
-
-    def _send_metrics(self) -> None:
-        data = obs_metrics.render_prometheus(
-            obs_metrics.get_registry()
-        ).encode("utf-8")
-        self.send_response(200)
-        self.send_header(
-            "Content-Type", obs_metrics.PROMETHEUS_CONTENT_TYPE
-        )
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
 
     def _send_unexpected(self, exc: BaseException) -> None:
         """Map an unhandled handler exception to a JSON 500.
@@ -144,6 +180,8 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     # -- routes ---------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler contract)
         try:
+            if self._read_body() is None:
+                return
             known = ("/healthz", "/stats", "/metrics")
             self._count_request(self.path if self.path in known else "other")
             if self.path == "/healthz":
@@ -151,7 +189,13 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             elif self.path == "/stats":
                 self._send_json(200, self.server.service.stats())
             elif self.path == "/metrics":
-                self._send_metrics()
+                self._send(
+                    200,
+                    obs_metrics.PROMETHEUS_CONTENT_TYPE,
+                    obs_metrics.render_prometheus(
+                        obs_metrics.get_registry()
+                    ).encode("utf-8"),
+                )
             else:
                 self._send_json(404, {"ok": False, "error": "unknown path"})
         except Exception as exc:  # repro-check: allow-broad-except
@@ -159,17 +203,19 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib handler contract)
         try:
-            self._route_post()
+            raw = self._read_body()
+            if raw is not None:
+                self._route_post(raw)
         except Exception as exc:  # repro-check: allow-broad-except
             self._send_unexpected(exc)
 
-    def _route_post(self) -> None:
+    def _route_post(self, raw: bytes) -> None:
         if self.path not in ("/search", "/batch"):
             self._count_request("other")
             self._send_json(404, {"ok": False, "error": "unknown path"})
             return
         self._count_request(self.path)
-        body = self._read_json()
+        body = self._parse_json(raw)
         if body is None:
             return
         try:
@@ -207,6 +253,13 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         raise ValueError("a query must be a string or a list of tokens")
 
     @staticmethod
+    def _threshold_of(body: Dict[str, Any]) -> float:
+        tau = body.get("threshold", DEFAULT_THRESHOLD)
+        if isinstance(tau, bool) or not isinstance(tau, (int, float)):
+            raise ValueError(f"threshold must be a number, got {tau!r}")
+        return float(tau)
+
+    @staticmethod
     def _deadline_of(body: Dict[str, Any]) -> Optional[float]:
         deadline_ms = validate_deadline(
             body.get("deadline_ms"), "deadline_ms"
@@ -227,7 +280,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         tokens = self._query_tokens(body, query)
         result = service.search(
             tokens,
-            float(body.get("threshold", DEFAULT_THRESHOLD)),
+            self._threshold_of(body),
             algorithm=body.get("algorithm"),
             deadline=self._deadline_of(body),
         )
@@ -245,7 +298,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             token_lists.append(self._query_tokens(body, query))
         results = service.search_batch(
             token_lists,
-            float(body.get("threshold", DEFAULT_THRESHOLD)),
+            self._threshold_of(body),
             algorithm=body.get("algorithm"),
             deadline=self._deadline_of(body),
             strategy=body.get("strategy", "sequential"),

@@ -11,8 +11,10 @@ The contract under test, per ``docs/service.md``:
 * the HTTP endpoint round-trips all of the above as JSON.
 """
 
+import http.client
 import json
 import math
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -37,6 +39,7 @@ from repro.service import (
     ServiceHTTPServer,
     result_cache_key,
 )
+from repro.service.httpd import MAX_BODY_BYTES, _ServiceRequestHandler
 
 TOKEN_SETS = [
     ["data", "cleaning", "matters"],
@@ -454,20 +457,22 @@ class TestServiceMetrics:
         assert obs_metrics.get_registry().snapshot() == {}
 
 
-class TestHTTPServer:
-    @pytest.fixture()
-    def server(self):
-        tokenizer = QGramTokenizer()
-        collection = SetCollection.from_strings(
-            ["Main Street", "Maine Street", "Elm Avenue"], tokenizer
-        )
-        service = SimilarityService(
-            SetSimilaritySearcher(collection), tokenizer=tokenizer
-        )
-        with ServiceHTTPServer(service, port=0) as server:
-            yield server
-        service.close()
+@pytest.fixture()
+def server():
+    """An HTTP server over three street names, with a tokenizer."""
+    tokenizer = QGramTokenizer()
+    collection = SetCollection.from_strings(
+        ["Main Street", "Maine Street", "Elm Avenue"], tokenizer
+    )
+    service = SimilarityService(
+        SetSimilaritySearcher(collection), tokenizer=tokenizer
+    )
+    with ServiceHTTPServer(service, port=0) as server:
+        yield server
+    service.close()
 
+
+class TestHTTPServer:
     @staticmethod
     def _post(url, body):
         request = urllib.request.Request(
@@ -562,23 +567,164 @@ class TestHTTPServer:
             assert resp.status == 200
             assert resp.read() == b""
 
+    @pytest.mark.parametrize("bad", [True, "0.5", None, [0.5]])
+    @pytest.mark.parametrize("path", ["/search", "/batch"])
+    def test_non_numeric_threshold_rejected(self, server, path, bad):
+        query = {"text": "Main"} if path == "/search" else {"queries": ["Main"]}
+        request = urllib.request.Request(
+            server.url + path,
+            data=json.dumps({**query, "threshold": bad}).encode("utf-8"),
+        )
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            urllib.request.urlopen(request, timeout=10)
+        reply = json.loads(exc.value.read())
+        exc.value.close()
+        assert exc.value.code == 400
+        assert "threshold must be a number" in reply["error"]
+
+
+class TestKeepAlive:
+    """Several requests over one persistent HTTP/1.1 connection."""
+
+    SEARCH = json.dumps({"text": "Main Stret", "threshold": 0.5})
+    BATCH = json.dumps({"queries": ["Elm Avenu"], "threshold": 0.5})
+
+    @pytest.fixture()
+    def conn(self, server):
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        yield conn
+        conn.close()
+
+    @staticmethod
+    def _exchange(conn, method, path, body=None):
+        conn.request(method, path, body=body)
+        response = conn.getresponse()
+        return response, response.read()
+
+    def _mixed(self, conn):
+        """A /search, /batch, 404, 400, /metrics and /search again, each
+        checked for status and for staying on the same socket."""
+        steps = [
+            ("POST", "/search", self.SEARCH, 200),
+            ("POST", "/batch", self.BATCH, 200),
+            ("POST", "/nope", self.SEARCH, 404),
+            ("POST", "/search", '{"threshold": 0.5}', 400),
+            ("GET", "/metrics", None, 200),
+            ("POST", "/search", self.SEARCH, 200),
+        ]
+        replies, sock = [], None
+        for method, path, body, status in steps:
+            response, data = self._exchange(conn, method, path, body)
+            assert response.status == status, (path, data)
+            assert not response.will_close
+            sock = sock or conn.sock
+            assert conn.sock is sock
+            replies.append(data)
+        return replies
+
+    def test_mixed_sequence_answers_in_order(self, conn):
+        replies = self._mixed(conn)
+        first = json.loads(replies[0])
+        assert first["results"][0]["payload"] == "Main Street"
+        batch = json.loads(replies[1])
+        assert batch["results"][0]["results"][0]["payload"] == "Elm Avenue"
+        assert json.loads(replies[2]) == {"ok": False, "error": "unknown path"}
+        assert "tokens" in json.loads(replies[3])["error"]
+        last = json.loads(replies[5])
+        assert last["cached"] and last["results"] == first["results"]
+
+    def test_each_response_is_one_write_on_a_nodelay_socket(
+        self, conn, monkeypatch
+    ):
+        nodelay, writes = [], []
+        setup = _ServiceRequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+            write = handler.wfile.write
+
+            def record(data):
+                writes.append(bytes(data))
+                return write(data)
+
+            handler.wfile.write = record
+
+        monkeypatch.setattr(_ServiceRequestHandler, "setup", recording_setup)
+        with obs_metrics.use_registry(obs_metrics.MetricsRegistry()):
+            replies = self._mixed(conn)
+        assert len(nodelay) == 1 and nodelay[0]
+        assert len(writes) == len(replies)
+        for write, reply in zip(writes, replies):
+            assert write.startswith(b"HTTP/1.1 ")
+            assert write.endswith(b"\r\n\r\n" + reply)
+
+    def test_expect_100_continue_answered_before_the_body(self, server):
+        body = self.BATCH.encode("utf-8")
+        head = (
+            "POST /batch HTTP/1.1\r\nHost: localhost\r\n"
+            "Expect: 100-continue\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        )
+        with socket.create_connection(
+            (server.host, server.port), timeout=10
+        ) as sock:
+            sock.sendall(head.encode("ascii"))
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                chunk = sock.recv(1024)
+                assert chunk, "closed before 100 Continue"
+                interim += chunk
+            assert interim.startswith(b"HTTP/1.1 100 ")
+            sock.sendall(body)
+            response = http.client.HTTPResponse(sock, method="POST")
+            try:
+                response.begin()
+                assert response.status == 200
+                reply = json.loads(response.read())
+            finally:
+                response.close()
+        assert reply["results"][0]["results"][0]["payload"] == "Elm Avenue"
+
+    @pytest.mark.parametrize(
+        "header, value, error",
+        [
+            ("Content-Length", "abc", "invalid Content-Length"),
+            ("Content-Length", "-5", "invalid Content-Length"),
+            (
+                "Content-Length",
+                str(MAX_BODY_BYTES + 1),
+                "missing or oversized body",
+            ),
+            ("Transfer-Encoding", "chunked", "missing or oversized body"),
+        ],
+    )
+    def test_unreadable_body_is_400_and_closes(
+        self, conn, header, value, error
+    ):
+        conn.putrequest("POST", "/search")
+        conn.putheader(header, value)
+        conn.endheaders(
+            self.SEARCH.encode("utf-8"),
+            encode_chunked=header == "Transfer-Encoding",
+        )
+        response = conn.getresponse()
+        assert response.status == 400
+        assert response.getheader("Connection") == "close"
+        assert json.loads(response.read()) == {"ok": False, "error": error}
+        assert response.will_close
+        # The next request goes over a fresh connection and is answered.
+        response, data = self._exchange(conn, "POST", "/search", self.SEARCH)
+        assert response.status == 200 and json.loads(data)["ok"]
+
 
 class TestHTTPResilience:
     """The failure-path HTTP contract: 503 when shedding, JSON 500 on
     unexpected handler errors — never a raw traceback on the socket."""
-
-    @pytest.fixture()
-    def server(self):
-        tokenizer = QGramTokenizer()
-        collection = SetCollection.from_strings(
-            ["Main Street", "Maine Street", "Elm Avenue"], tokenizer
-        )
-        service = SimilarityService(
-            SetSimilaritySearcher(collection), tokenizer=tokenizer
-        )
-        with ServiceHTTPServer(service, port=0) as server:
-            yield server
-        service.close()
 
     @staticmethod
     def _post_raw(url, body):
