@@ -277,7 +277,7 @@ class SelectionAlgorithm:
             # Algorithms without a window (classic NRA/TA, sort-by-id) do
             # not enforce the floor while scanning; filter uniformly here
             # so the contract holds for every algorithm.
-            lengths = self.index.collection.lengths()
+            lengths = self.index.lengths
             floor = self._length_floor
             results = [
                 r for r in results if lengths[r.set_id] >= floor
@@ -307,13 +307,12 @@ class SelectionAlgorithm:
         obey it even when pruning never used it), scores at or above the
         effective threshold, and no duplicate ids.
 
-        Indexes without a backing collection (test doubles with
-        deliberately decoupled statistics) skip the length-window check —
-        Theorem 1 presumes lengths and idfs come from the same corpus.
+        Indexes without per-set lengths (test doubles with deliberately
+        decoupled statistics) skip the length-window check — Theorem 1
+        presumes lengths and idfs come from the same corpus.
         """
-        collection = getattr(self.index, "collection", None)
-        if collection is not None:
-            lengths = collection.lengths()
+        lengths = getattr(self.index, "lengths", None)
+        if lengths is not None:
             check_length_window(
                 ((r.set_id, lengths[r.set_id]) for r in results),
                 query.length,

@@ -73,6 +73,19 @@ class SetSimilaritySearcher:
         )
         self._topk = TopKSearcher(self.index, use_skip_lists=with_skip_lists)
 
+    @classmethod
+    def over_index(cls, index: InvertedIndex) -> "SetSimilaritySearcher":
+        """A searcher over an index built elsewhere, such as one grown by
+        :meth:`InvertedIndex.with_set`; ``collection`` is the index's own
+        (None for a grown index, which only searches prepared queries)."""
+        searcher = cls.__new__(cls)
+        searcher.collection = index.collection
+        searcher.index = index
+        searcher._topk = TopKSearcher(
+            index, use_skip_lists=index.with_skip_lists
+        )
+        return searcher
+
     # ------------------------------------------------------------------
     def prepare(self, tokens: Sequence[str]) -> PreparedQuery:
         return PreparedQuery(tokens, self.collection.stats)

@@ -20,7 +20,9 @@ to load-test the service layer:
 The server is a ``ThreadingHTTPServer``: one thread per persistent
 connection, all sharing the service's caches (which are lock-protected)
 and its read-only index.  A body the server cannot read ends its
-connection with a 400.
+connection with a 400, after which the server shuts its write side and
+discards what the client still sends (up to ``LINGER_BYTES``), so a
+client sending an oversized body in full still reads the 400.
 
 >>> server = ServiceHTTPServer(service, host="127.0.0.1", port=0)
 >>> server.start()          # doctest: +SKIP
@@ -31,6 +33,7 @@ connection with a 400.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
@@ -42,6 +45,25 @@ from .service import ServiceResult, SimilarityService, validate_deadline
 
 DEFAULT_THRESHOLD = 0.7
 MAX_BODY_BYTES = 4 * 1024 * 1024
+LINGER_BYTES = 4 * MAX_BODY_BYTES
+"""Most input discarded after answering an unreadable body with a 400."""
+LINGER_SECONDS = 2.0
+"""Longest silence tolerated while discarding that input."""
+
+
+def discard_input(rfile, limit: int) -> int:
+    """Read and drop ``rfile`` until end of input or ``limit`` bytes, or
+    until a read fails (a timeout included); returns the bytes dropped."""
+    discarded = 0
+    try:
+        while discarded < limit:
+            chunk = rfile.read1(min(64 * 1024, limit - discarded))
+            if not chunk:
+                break
+            discarded += len(chunk)
+    except OSError:
+        pass
+    return discarded
 
 
 class _ServiceRequestHandler(BaseHTTPRequestHandler):
@@ -128,7 +150,24 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             return self.rfile.read(int(length))
         self.close_connection = True
         self._send_json(400, {"ok": False, "error": error})
+        self._linger()
         return None
+
+    def _linger(self) -> None:
+        """Close gracefully on a body left unread.
+
+        Closing a socket with unread input makes the kernel reset the
+        connection, and a client still sending its body then gets the
+        reset instead of the 400.  So shut the write side (the client
+        sees the response end) and drop what it still sends, up to
+        ``LINGER_BYTES`` or ``LINGER_SECONDS`` of silence.
+        """
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            self.connection.settimeout(LINGER_SECONDS)
+        except OSError:
+            return
+        discard_input(self.rfile, LINGER_BYTES)
 
     def _parse_json(self, raw: bytes) -> Optional[Dict[str, Any]]:
         if not raw:

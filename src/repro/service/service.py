@@ -272,8 +272,9 @@ class _UpdatableBackend:
         return self.updatable.version
 
     def prepare(self, tokens: Sequence[str]) -> PreparedQuery:
-        # Used for validation only; execution goes through the
-        # updatable's own base+delta fan-out.
+        # Used for validation only.  Execution prepares once more inside
+        # UpdatableSearcher.search, against the snapshot it runs on: an
+        # epoch rebuild in between would change the statistics.
         return PreparedQuery(tokens, self.updatable.stats_epoch)
 
     def execute(

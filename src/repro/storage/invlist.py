@@ -21,7 +21,9 @@ trusting CPython wall-clock (see the module docstring of
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import bisect
+import copy
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..contracts import (
     CHECKS,
@@ -228,6 +230,10 @@ class IdOrderCursor:
 class InvertedIndex:
     """The full per-token index over a frozen :class:`SetCollection`.
 
+    ``lengths`` holds every set's normalized length, indexed by set id.
+    :meth:`with_set` grows a copy by one set, rebuilding only that set's
+    lists; the updatable searcher's delta index is built that way.
+
     Parameters
     ----------
     with_id_lists / with_skip_lists / with_hash_index:
@@ -249,50 +255,77 @@ class InvertedIndex:
     ) -> None:
         if not collection.frozen:
             raise IndexNotBuiltError("collection must be frozen before indexing")
-        self.collection = collection
+        self.collection: Optional[SetCollection] = collection
         self.with_id_lists = with_id_lists
         self.with_skip_lists = with_skip_lists
         self.with_hash_index = with_hash_index
+        self.page_capacity = page_capacity
+        self.skiplist_max_bytes = skiplist_max_bytes
+        self.skiplist_stride = skiplist_stride
+        self.hash_bucket_capacity = hash_bucket_capacity
+        self.lengths: List[float] = collection.lengths()
         self._postings: Dict[str, TokenPostings] = {}
-        lengths = collection.lengths()
 
         # Bucket postings per token, then sort each once.
         per_token: Dict[str, List[Tuple[float, int]]] = {}
         for rec in collection:
-            length = lengths[rec.set_id]
+            length = self.lengths[rec.set_id]
             for token in rec.tokens:
                 per_token.setdefault(token, []).append((length, rec.set_id))
-
-        verify = invariants_enabled()
         for token, entries in per_token.items():
             entries.sort()
-            if verify:
-                check_order_preservation(
-                    entries, source=f"weight-ordered list {token!r}"
-                )
-            weight_file = PagedFile(POSTING_BYTES, page_capacity)
-            weight_file.extend(entries)
-            id_file = None
-            if with_id_lists:
-                id_file = PagedFile(POSTING_BYTES, page_capacity)
-                id_file.extend(
-                    sorted((sid, ln) for ln, sid in entries)
-                )
-            skip = None
-            if with_skip_lists:
-                skip = SkipList(
-                    entries,
-                    max_bytes=skiplist_max_bytes,
-                    stride=skiplist_stride,
-                )
-            hash_index = None
-            if with_hash_index:
-                hash_index = ExtendibleHash(hash_bucket_capacity)
-                for ln, sid in entries:
-                    hash_index.insert(sid, ln)
-            self._postings[token] = TokenPostings(
-                token, weight_file, id_file, skip, hash_index
+            self._postings[token] = self._build_list(token, entries)
+
+    def _build_list(
+        self, token: str, entries: List[Tuple[float, int]]
+    ) -> TokenPostings:
+        """Every configured structure over one token's sorted postings."""
+        if invariants_enabled():
+            check_order_preservation(
+                entries, source=f"weight-ordered list {token!r}"
             )
+        weight_file = PagedFile(POSTING_BYTES, self.page_capacity)
+        weight_file.extend(entries)
+        id_file = None
+        if self.with_id_lists:
+            id_file = PagedFile(POSTING_BYTES, self.page_capacity)
+            id_file.extend(sorted((sid, ln) for ln, sid in entries))
+        skip = None
+        if self.with_skip_lists:
+            skip = SkipList(
+                entries,
+                max_bytes=self.skiplist_max_bytes,
+                stride=self.skiplist_stride,
+            )
+        hash_index = None
+        if self.with_hash_index:
+            hash_index = ExtendibleHash(self.hash_bucket_capacity)
+            for ln, sid in entries:
+                hash_index.insert(sid, ln)
+        return TokenPostings(token, weight_file, id_file, skip, hash_index)
+
+    def with_set(self, tokens: Iterable[str], length: float) -> "InvertedIndex":
+        """A new index holding one more set, with id ``len(self.lengths)``.
+
+        The set's ``(length, id)`` posting is placed at its sorted
+        position in each of its tokens' lists, and only those lists are
+        rebuilt, with the same structures and parameters as a full build.
+        Every other list is shared with this index, which stays
+        unchanged, so a reader holding it never sees a partial insert.
+        The new index belongs to no collection: ``length`` must come
+        from the statistics this index's lengths were computed with.
+        """
+        set_id = len(self.lengths)
+        grown = copy.copy(self)
+        grown.collection = None
+        grown.lengths = self.lengths + [length]
+        grown._postings = dict(self._postings)
+        for token in frozenset(tokens):
+            old = self._postings.get(token)
+            entries = list(old.weight_file.records()) if old else []
+            bisect.insort(entries, (length, set_id))
+            grown._postings[token] = grown._build_list(token, entries)
+        return grown
 
     # ------------------------------------------------------------------
     # access paths

@@ -110,14 +110,19 @@ class OperationsLog:
         return ops, dropped
 
     def compact(self, ops: Sequence[Dict[str, Any]]) -> None:
-        """Atomically rewrite the log to exactly ``ops``."""
+        """Atomically rewrite the log to exactly ``ops``: the log is
+        either unchanged (and no temp file is left) or holds all of them."""
+        data = b"".join(_frame(op) for op in ops)
         tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            for op in ops:
-                fh.write(_frame(op))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self.path)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def size_bytes(self) -> int:
         return self.path.stat().st_size if self.path.exists() else 0
@@ -127,8 +132,10 @@ class DurableUpdatableSearcher(UpdatableSearcher):
     """An updatable searcher whose inserts survive a crash.
 
     Every set — the initial ones included — is framed into the
-    operations log under ``directory`` before it is applied, so
-    reconstructing with the same directory replays the full state::
+    operations log under ``directory``, so reconstructing with the same
+    directory replays the full state.  The initial sets are framed in
+    one atomic write; each later insert is appended before it is
+    applied::
 
         s = DurableUpdatableSearcher(tmp)      # fresh
         s.add(["a", "b"])                      # logged, then applied
@@ -183,12 +190,11 @@ class DurableUpdatableSearcher(UpdatableSearcher):
             auto_rebuild_fraction=auto_rebuild_fraction,
         )
 
-        if not replayed_ops and tokens:
-            # Fresh log: frame the initial sets so a reload needs
-            # nothing but the directory.
-            for toks, payload in zip(tokens, their_payloads):
-                self.log.append(self._op(toks, payload))
-        elif self.dropped:
+        if (tokens and not replayed_ops) or self.dropped:
+            # Frame a fresh log's initial sets, so a reload needs nothing
+            # but the directory, or drop a torn tail.  Either way in one
+            # atomic write: a failure leaves the log as it was (none, for
+            # a fresh one), so a retry with the same arguments is clean.
             self.compact()
 
     @staticmethod

@@ -14,6 +14,9 @@ The contract under test, per ``docs/robustness.md``:
   compacts away) anything after the first torn record.
 """
 
+import errno
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -297,6 +300,29 @@ class TestDurableUpdatableSearcher:
         log.append({"kind": "drop-table", "tokens": []})
         with pytest.raises(StorageError):
             DurableUpdatableSearcher(tmp_path)
+
+    def test_failed_initial_framing_leaves_no_log(
+        self, tmp_path, monkeypatch
+    ):
+        fsync = os.fsync
+        failures = []
+
+        def fail_once(fd):
+            if not failures:
+                failures.append(fd)
+                raise OSError(errno.EIO, "injected fsync failure")
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fail_once)
+        with pytest.raises(OSError):
+            DurableUpdatableSearcher(tmp_path, initial_sets=TOKEN_SETS)
+        assert failures
+        # Nothing half-written: no log (and no temp file) to reload.
+        assert list(tmp_path.iterdir()) == []
+        s = DurableUpdatableSearcher(tmp_path, initial_sets=TOKEN_SETS)
+        assert len(s) == len(TOKEN_SETS)
+        s2 = DurableUpdatableSearcher(tmp_path)
+        assert s2.replayed == len(TOKEN_SETS) and s2.dropped == 0
 
     def test_failed_append_leaves_memory_unchanged(self, tmp_path):
         s = DurableUpdatableSearcher(tmp_path, initial_sets=TOKEN_SETS[:2])

@@ -12,6 +12,7 @@ The contract under test, per ``docs/service.md``:
 """
 
 import http.client
+import io
 import json
 import math
 import socket
@@ -39,7 +40,12 @@ from repro.service import (
     ServiceHTTPServer,
     result_cache_key,
 )
-from repro.service.httpd import MAX_BODY_BYTES, _ServiceRequestHandler
+from repro.service.httpd import (
+    LINGER_BYTES,
+    MAX_BODY_BYTES,
+    _ServiceRequestHandler,
+    discard_input,
+)
 
 TOKEN_SETS = [
     ["data", "cleaning", "matters"],
@@ -720,6 +726,27 @@ class TestKeepAlive:
         # The next request goes over a fresh connection and is answered.
         response, data = self._exchange(conn, "POST", "/search", self.SEARCH)
         assert response.status == 200 and json.loads(data)["ok"]
+
+    def test_oversized_body_sent_in_full_gets_the_400(self, conn):
+        # Over MAX_BODY_BYTES but within the linger bound: the server
+        # drops the body after its 400, so the client's send completes
+        # and it reads the answer instead of a reset connection.
+        conn.request("POST", "/search", body=b" " * (5 * 1024 * 1024))
+        response = conn.getresponse()
+        assert response.status == 400
+        assert json.loads(response.read()) == {
+            "ok": False,
+            "error": "missing or oversized body",
+        }
+        response, data = self._exchange(conn, "POST", "/search", self.SEARCH)
+        assert response.status == 200 and json.loads(data)["ok"]
+
+    def test_discard_stops_at_the_bound(self):
+        assert LINGER_BYTES > 5 * 1024 * 1024
+        stream = io.BytesIO(b"x" * 300_000)
+        assert discard_input(stream, 100_000) == 100_000
+        assert stream.tell() == 100_000
+        assert discard_input(stream, 1_000_000) == 200_000  # end of input
 
 
 class TestHTTPResilience:
